@@ -99,8 +99,7 @@ def measure() -> dict:
         "app": APP,
         "cpu_count": os.cpu_count() or 1,
         "serial": _pair(),
-        "process4": _pair(workers=4, parallel_backend="process",
-                          blacklist_threshold=999),
+        "process4": _pair(workers=4, blacklist_threshold=999),
     }
 
 

@@ -55,9 +55,9 @@ _TIME_LIMIT: ContextVar[Optional[float]] = ContextVar(
 class _KernelStats(threading.local):
     """Volatile per-thread counters for the ``zc_runtime_sim_*`` metrics.
 
-    Thread-local so concurrently running profiles on the thread backend
-    attribute their own deltas; forked process workers inherit a private
-    copy.  These feed *volatile* metrics only — they describe how much
+    Thread-local so profiles running concurrently in one process (the
+    serve daemon's job threads) attribute their own deltas; forked
+    process workers inherit a private copy.  These feed *volatile* metrics only — they describe how much
     work the kernel avoided, never the simulated outcome.
     """
 

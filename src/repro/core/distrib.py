@@ -5,8 +5,9 @@ grows the harness past one host.  A **coordinator** (the campaign
 parent) serves unit-test profiles over the length-prefixed JSON TCP
 protocol in :mod:`repro.common.transport`, and any number of **workers**
 (``repro worker --connect HOST:PORT``) pull leases, run the profiles
-with the existing supervised pool, and stream outcomes back in the
-checkpoint wire format (:func:`repro.core.parallel.profile_outcome_to_dict`).
+on the local executor (the supervised pool at ``--workers N > 1``), and
+stream outcomes back in the checkpoint wire format
+(:func:`repro.core.parallel.profile_outcome_to_dict`).
 
 Robustness is the design driver — a worker that disconnects, hangs,
 crashes, or answers late must never corrupt findings:
@@ -34,15 +35,24 @@ crashes, or answers late must never corrupt findings:
 * **Graceful degradation.**  If no worker joins within
   ``dist_join_grace_s``, or the whole fleet is lost and nobody rejoins
   within ``dist_fleet_grace_s``, the coordinator closes shop and the
-  campaign finishes the remaining profiles on the local pool — a lost
-  fleet degrades, it never aborts.
+  campaign finishes the remaining profiles on the local executor
+  (:func:`repro.core.supervise.run_profiles`) — a lost fleet degrades,
+  it never aborts.
+* **Clean endings.**  A finished coordinator lingers briefly, answering
+  ``fetch`` with ``done``; connections still handshaking keep it
+  lingering, and a ``hello`` that arrives after the last commit is
+  answered with a terminal ``done`` frame, so a late joiner exits 0
+  instead of burning reconnects against a closed port.
 
-Findings stay byte-identical to serial runs because the coordinator
-commits outcomes through the same :func:`repro.core.parallel.commit_outcome`
-path every backend uses, and the campaign folds them back in catalog
-order (:meth:`Campaign._run_inner`).  The lease queue is LPT-ordered
-(:mod:`repro.core.costmodel`), which — like every dispatch-order choice
-— affects wall-clock makespan only.
+The coordinator commits outcomes through the same
+:func:`repro.core.parallel.commit_outcome` path the supervised pool
+uses, and the campaign folds them back in catalog order
+(:meth:`Campaign._run_inner`).  Findings are therefore byte-identical to
+serial runs when profiles are decoupled (a ``blacklist_threshold`` no
+run reaches); at the default threshold, blacklist propagation between
+concurrently running profiles follows completion order.  The lease
+queue is LPT-ordered (:mod:`repro.core.costmodel`), which — like every
+dispatch-order choice — affects wall-clock makespan only.
 """
 
 from __future__ import annotations
@@ -69,8 +79,9 @@ CONTROL_TIMEOUT_S = 30.0
 #: delay a worker is told to idle before re-fetching when the queue is
 #: momentarily empty but the campaign is not finished.
 WAIT_DELAY_S = 0.2
-#: how long a finished coordinator keeps answering ``fetch`` with
-#: ``done`` so workers exit cleanly instead of hitting a closed port.
+#: how long a finished coordinator keeps answering ``fetch`` (and late
+#: ``hello``\ s) with ``done`` so workers — including ones still
+#: handshaking — exit cleanly instead of hitting a closed port.
 LINGER_S = 1.5
 
 #: worker exit codes.
@@ -181,17 +192,19 @@ class Coordinator:
         self.address: Tuple[str, int] = (host, port)
         self._listener: Optional[socket.socket] = None
         self._transports: List[net.FrameTransport] = []
+        #: accepted connections whose hello is not yet answered; linger
+        #: waits for them so a late joiner is told ``done``, not cut off.
+        self._handshaking: Set[_Conn] = set()
         self._conn_seq = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def serve(self) -> Tuple[Dict[str, Any], List[Any]]:
+    def serve(self) -> Dict[str, Any]:
         """Serve until every profile has an outcome or degradation trips.
 
-        Returns ``(outcomes by test name, remaining profiles)`` —
-        ``remaining`` is non-empty exactly when the campaign must finish
-        the rest on the local pool.
+        Returns the outcomes by test name; profiles missing from it are
+        the ones the campaign must finish on the local executor.
         """
         self._listen()
         accept_thread = threading.Thread(target=self._accept_loop,
@@ -211,10 +224,8 @@ class Coordinator:
                 self._linger()
         finally:
             self._teardown()
-        remaining = [p for p in self.profiles
-                     if p.test.full_name not in self.outcomes]
         self.stats.fleet = [self._fleet[name] for name in sorted(self._fleet)]
-        return dict(self.outcomes), remaining
+        return dict(self.outcomes)
 
     def _listen(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -240,14 +251,16 @@ class Coordinator:
             transport_ = net.FrameTransport(sock, conn_id=conn_id,
                                             plan=self.net_plan,
                                             on_fault=self._count_net_fault)
+            conn = _Conn(transport_)
             with self.lock:
                 self._transports.append(transport_)
+                self._handshaking.add(conn)
             threading.Thread(target=self._serve_connection,
-                             args=(transport_,),
+                             args=(conn,),
                              name="dist-%s" % conn_id, daemon=True).start()
 
-    def _serve_connection(self, transport_: net.FrameTransport) -> None:
-        conn = _Conn(transport_)
+    def _serve_connection(self, conn: _Conn) -> None:
+        transport_ = conn.transport
         try:
             while True:
                 # A healthy worker heartbeats well inside this window,
@@ -264,6 +277,8 @@ class Coordinator:
         except net.TransportError as exc:
             self._departed(conn, "connection lost: %s" % exc)
         finally:
+            with self.lock:
+                self._handshaking.discard(conn)
             transport_.close()
 
     def _departed(self, conn: _Conn, reason: str,
@@ -274,13 +289,15 @@ class Coordinator:
                                          graceful=graceful)
 
     def _linger(self) -> None:
-        """Keep answering ``fetch`` with ``done`` briefly so workers
-        learn the campaign finished and exit 0 instead of dying on a
-        closed port."""
+        """Keep answering ``fetch`` and ``hello`` with ``done`` briefly so
+        workers learn the campaign finished and exit 0 instead of dying
+        on a closed port.  A connection still handshaking (e.g. mid auth
+        challenge) counts as a worker that must hear it too."""
         deadline = time.monotonic() + LINGER_S
         while time.monotonic() < deadline:
             with self.lock:
-                if not any(w.alive for w in self.workers):
+                if not self._handshaking \
+                        and not any(w.alive for w in self.workers):
                     return
             time.sleep(0.02)
 
@@ -356,18 +373,24 @@ class Coordinator:
                     "reason": "corpus digest mismatch: worker %r vs "
                               "coordinator %r — same checkout required"
                               % (digest, self.digest)}
-        if self.closed or self.halted:
+        self._handshaking.discard(conn)
+        finished = len(self.outcomes) == len(self.profiles)
+        if not finished and (self.closed or self.halted):
             return {"kind": "reject", "reason": "coordinator is shutting down"}
-        worker = _RemoteWorker(str(message.get("worker") or "worker"),
-                               int(message.get("slots", 1)))
+        name = str(message.get("worker") or "worker")
+        self.stats.workers_joined += 1
+        from repro.core.report import FleetWorker
+        fleet = self._fleet.setdefault(name, FleetWorker(worker=name))
+        fleet.connects += 1
+        if finished:
+            # A late joiner passed the handshake but there is nothing
+            # left to lease: a terminal frame, so it exits 0 rather than
+            # reconnecting against a port about to close.
+            return {"kind": "done"}
+        worker = _RemoteWorker(name, int(message.get("slots", 1)))
         conn.worker = worker
         self.workers.append(worker)
-        self.stats.workers_joined += 1
         self._fleet_lost_at = None
-        from repro.core.report import FleetWorker
-        fleet = self._fleet.setdefault(worker.name,
-                                       FleetWorker(worker=worker.name))
-        fleet.connects += 1
         campaign = self.campaign
         self.cond.notify_all()
         return {
@@ -587,23 +610,17 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
              if config.schedule == "lpt" else list(profiles))
     coordinator = Coordinator(campaign, order, checkpoint, tests_by_name,
                               host=host, port=port)
-    outcomes, remaining = coordinator.serve()
+    outcomes = coordinator.serve()
+    # Graceful degradation: whatever the fleet could not finish runs on
+    # the local executor (supervised pool or serial loop, as ``workers``
+    # selects), handed over in catalog order like any local run.
+    remaining = [p for p in profiles if p.test.full_name not in outcomes]
     if remaining:
-        # Graceful degradation: the local machine finishes the campaign
-        # with whichever backend ``workers`` selects.  ``remaining``
-        # keeps LPT order, which is what the local pool wants anyway.
+        from repro.core.supervise import run_profiles
         campaign.distribution.local_profiles = len(remaining)
-        if config.workers > 1:
-            from repro.core.supervise import run_profiles_parallel
-            fresh = run_profiles_parallel(campaign, remaining, checkpoint,
-                                          tests_by_name)
-            for profile, outcome in zip(remaining, fresh):
-                outcomes[profile.test.full_name] = outcome
-        else:
-            for profile in remaining:
-                outcome = campaign._run_profile_contained(profile, checkpoint)
-                campaign._profile_committed(outcome)
-                outcomes[profile.test.full_name] = outcome
+        fresh = run_profiles(campaign, remaining, checkpoint, tests_by_name)
+        for profile, outcome in zip(remaining, fresh):
+            outcomes[profile.test.full_name] = outcome
     return [outcomes[p.test.full_name] for p in profiles]
 
 
@@ -613,7 +630,7 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
 def _config_from_settings(settings: Mapping[str, Any], run_cost_s: float,
                           observe: bool, base: Any) -> Any:
     """Coordinator-sent findings-shaping settings + local execution shape
-    (worker count, backend, supervision knobs) -> the worker's config."""
+    (worker count, supervision knobs) -> the worker's config."""
     from repro.common.faults import FaultPlan
     from repro.core.orchestrator import CampaignConfig
     plan_record = settings.get("fault_plan")
@@ -647,8 +664,6 @@ def _config_from_settings(settings: Mapping[str, Any], run_cost_s: float,
         disk_fault_plan=base.disk_fault_plan,
         dist_secret=base.dist_secret,
         workers=base.workers,
-        parallel_backend=base.parallel_backend,
-        supervise=base.supervise,
         schedule=base.schedule,
         profile_deadline_s=base.profile_deadline_s,
         worker_rlimit_cpu_s=base.worker_rlimit_cpu_s,
@@ -726,8 +741,8 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                backoff_cap_s: float = 5.0,
                log: Any = None) -> int:
     """The ``repro worker --connect`` process: pull leases, run profiles
-    on the local (supervised) pool, stream outcomes back.  Returns a
-    process exit code."""
+    on the local executor, stream outcomes back.  Returns a process exit
+    code."""
     from repro.core.orchestrator import CampaignConfig
     host, port = net.parse_address(connect)
     base = worker_config if worker_config is not None else CampaignConfig()
@@ -795,10 +810,11 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                     transport_.send({"kind": "auth", "mac": _auth_mac(
                         secret, "worker", str(welcome.get("nonce") or ""))})
                     welcome = transport_.recv(timeout=CONTROL_TIMEOUT_S)
-                elif base.dist_secret and welcome.get("kind") == "welcome":
+                elif (base.dist_secret
+                      and welcome.get("kind") in ("welcome", "done")):
                     # Mutual requirement: a worker carrying a secret must
-                    # not hand results to a coordinator that never proved
-                    # it holds the same one.
+                    # not hand results to, nor take a clean exit from, a
+                    # coordinator that never proved it holds the same one.
                     say("worker %s: coordinator did not authenticate; "
                         "refusing to join" % worker_name)
                     return EXIT_REJECTED
@@ -806,6 +822,10 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                     say("worker %s: rejected: %s"
                         % (worker_name, welcome.get("reason")))
                     return EXIT_REJECTED
+                if welcome.get("kind") == "done":
+                    say("worker %s: campaign already complete"
+                        % worker_name)
+                    return EXIT_OK
                 if welcome.get("kind") != "welcome":
                     raise net.TransportError("expected welcome, got %r"
                                              % welcome.get("kind"))
@@ -917,11 +937,10 @@ def _run_batch(campaign: Any, batch: Sequence[Tuple[str, int]],
                shipper: _OutcomeShipper,
                profiles_by_name: Mapping[str, Any],
                tests_by_name: Mapping[str, UnitTest]) -> None:
-    """Run one lease batch on the local pool, shipping each outcome as it
-    commits (the supervised pool streams through its outcome sink)."""
+    """Run one lease batch on the local executor, shipping each outcome
+    as it commits (the executor streams through its outcome sink)."""
     from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
-    from repro.core.supervise import (Supervisor,
-                                      _run_profile_contained_noraise)
+    from repro.core.supervise import run_profiles
     runnable = []
     for task, _ in batch:
         profile = profiles_by_name.get(task)
@@ -934,22 +953,8 @@ def _run_batch(campaign: Any, batch: Sequence[Tuple[str, int]],
                 error_kind=HARNESS_ERROR))
             continue
         runnable.append(profile)
-    if not runnable:
-        return
-    config = campaign.config
-    if (config.workers > 1 and config.parallel_backend == "process"
-            and config.supervise and parallel.fork_available()):
-        # The whole supervised-pool failure story (crash containment,
-        # redelivery, deadlines, rlimits, its own quarantine) applies to
-        # each remote batch; its commit hook doubles as our ship hook.
-        supervisor = Supervisor(campaign, runnable, None, tests_by_name,
-                                outcome_sink=shipper.ship)
-        campaign.supervision = supervisor.stats
-        supervisor.run()
-    else:
-        for profile in runnable:
-            outcome = _run_profile_contained_noraise(campaign, profile)
-            parallel.commit_outcome(campaign, None,
-                                    profile.test.full_name, outcome,
-                                    replay_tracker=False)
-            shipper.ship(profile.test.full_name, outcome)
+    # With --workers N the whole supervised-pool failure story (crash
+    # containment, redelivery, deadlines, rlimits, its own quarantine)
+    # applies to each remote batch.
+    run_profiles(campaign, runnable, None, tests_by_name,
+                 outcome_sink=shipper.ship)

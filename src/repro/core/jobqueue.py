@@ -86,6 +86,9 @@ FAULT_KEYS = {
 #: "faults" (mapping of FAULT_KEYS to probabilities), "choice:..." and
 #: "choice?:..." (nullable choice).
 #: Kept flat and explicit so docs/SERVICE.md can state it verbatim.
+#: ``parallel_backend`` and ``supervise`` are accepted aliases that select
+#: nothing (``workers > 1`` always means the supervised pool); they stay
+#: in the schema, defaults included, so stored specs keep their digests.
 SPEC_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "app": (None, "app"),
     "params": (None, "params"),
@@ -496,7 +499,6 @@ class JobQueue:
         spec = job.spec
         config = CampaignConfig(
             workers=spec["workers"],
-            parallel_backend=spec["parallel_backend"],
             schedule=spec["schedule"],
             exec_cache=spec["exec_cache"],
             store_path=self.store_path if spec["store"] else None,
@@ -505,7 +507,6 @@ class JobQueue:
             sample_k=spec["sample_k"],
             sample_seed=spec["sample_seed"],
             audit=spec["audit"],
-            supervise=spec["supervise"],
             max_pool_size=spec["pool_size"],
             blacklist_threshold=spec["blacklist_threshold"],
             disable_ipc_sharing=spec["disable_ipc_sharing"],

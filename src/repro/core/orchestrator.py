@@ -3,8 +3,8 @@
 :class:`Campaign` drives ZebraConf end-to-end for one application, and
 :func:`run_full_campaign` reproduces the paper's whole evaluation across
 all target applications.  Unit tests are independent, so campaigns can
-fan out across a thread pool (the paper used up to 100 machines; §4
-"Test in parallel").
+fan out across the supervised process pool (the paper used up to 100
+machines; §4 "Test in parallel").
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.core.testgen import DependencyRule, TestGenerator
 from repro.core.triage import ParamVerdict, triage_report
 
 #: ProfileOutcome.error_kind for an exception contained *in-process*
-#: (the worker/thread survived; partial accounting was preserved).
+#: (the worker process survived; partial accounting was preserved).
 HARNESS_ERROR = "harness-error"
 
 
@@ -174,20 +174,16 @@ class CampaignConfig:
     #: checkpoint_settings(): a resumed campaign may toggle it freely
     #: because the audit never touches the journal.
     audit: bool = False
-    #: how ``workers > 1`` fans out profiles: "thread" (GIL-bound, cheap)
-    #: or "process" (fork-based, true parallelism over the pure-Python
-    #: simulation).  Ignored at workers == 1.
-    parallel_backend: str = "thread"
+    #: accepted alias kept for callers of the retired backend choice:
+    #: "thread" or "process" (anything else is rejected) select nothing —
+    #: ``workers > 1`` always means the supervised process pool.
+    parallel_backend: str = "process"
     #: dispatch order for ``workers > 1``: "lpt" hands profiles to the
     #: pool longest-predicted-first (see repro.core.costmodel), "catalog"
     #: keeps corpus order.  Results are folded in catalog order either
     #: way, so findings and deterministic metrics are identical; only
     #: wall-clock makespan changes.  Ignored at workers == 1.
     schedule: str = "lpt"
-    #: run the process backend under the supervisor (repro.core.supervise):
-    #: crashed/hung workers are killed, reaped and respawned instead of
-    #: aborting the campaign.  ``False`` restores the bare executor.
-    supervise: bool = True
     #: wall-clock seconds a worker may spend on one profile before the
     #: supervisor SIGKILLs it and quarantines the profile (None = no
     #: deadline).  This is *real* time — it catches CPU-bound hangs the
@@ -248,9 +244,11 @@ class CampaignConfig:
     progress_hook: Optional[Any] = None
     #: threading.Event polled between profiles; when set the campaign
     #: raises CampaignCancelled instead of starting the next profile.
-    #: Checked in the serial loop and at the start of every profile on
-    #: the thread backend; the process/distributed backends only observe
-    #: it between pool drains, so in-flight profiles there finish first.
+    #: The serial loop checks it before every profile and the supervised
+    #: pool before every dispatch, so in-flight profiles there finish and
+    #: are journaled first.  A distributed coordinator does not poll it:
+    #: remote leases run to completion and only the local remainder
+    #: (repro.core.supervise.run_profiles) observes the cancel.
     #: Deliberately NOT part of checkpoint_settings(): cancellation is a
     #: runtime act, not a campaign setting.
     cancel_event: Optional[Any] = None
@@ -459,9 +457,9 @@ class Campaign:
                     continue
             pending.append(profile)
 
-        backend = self.config.parallel_backend
-        if backend not in ("thread", "process"):
-            raise ValueError("unknown parallel backend %r" % backend)
+        if self.config.parallel_backend not in ("thread", "process"):
+            raise ValueError("unknown parallel backend %r"
+                             % self.config.parallel_backend)
         schedule = self.config.schedule
         if schedule not in ("lpt", "catalog"):
             raise ValueError("unknown schedule %r" % schedule)
@@ -476,26 +474,12 @@ class Campaign:
             from repro.core.distrib import run_profiles_distributed
             fresh = run_profiles_distributed(self, pending, checkpoint,
                                              tests_by_name)
-        elif self.config.workers > 1 and pending:
-            # Dispatch order is a pure makespan concern: outcomes are
-            # keyed by test and folded back in catalog order below, so
-            # reordering here cannot change findings or deterministic
-            # metrics.
-            if schedule == "lpt":
-                pending = self.cost_model.lpt_order(pending)
-            # Both backends share the supervisor module's as-completed
-            # collection: each finished profile is journaled immediately,
-            # so a crash loses at most the in-flight profiles.
-            from repro.core.supervise import run_profiles_parallel
-            fresh = run_profiles_parallel(self, pending, checkpoint,
-                                          tests_by_name)
         else:
-            fresh = []
-            for profile in pending:
-                self._check_cancelled()
-                outcome = self._run_profile_contained(profile, checkpoint)
-                self._profile_committed(outcome)
-                fresh.append(outcome)
+            # The one local executor: serial loop or supervised pool.
+            # Each finished profile is journaled immediately, so a crash
+            # loses at most the in-flight profiles.
+            from repro.core.supervise import run_profiles
+            fresh = run_profiles(self, pending, checkpoint, tests_by_name)
         for profile, outcome in zip(pending, fresh):
             outcome_by_test[profile.test.full_name] = outcome
         self._persist_profile_records(usable, outcome_by_test)
@@ -949,8 +933,8 @@ class Campaign:
         """Fold one finished profile into the live campaign observation.
 
         Called from the serial loop, checkpoint restore, and
-        ``parallel.commit_outcome`` (thread/process/supervised backends)
-        — always on the parent's committing thread, in completion order.
+        ``parallel.commit_outcome`` (supervised pool and distributed
+        coordinator) — always in the parent, in completion order.
         Metric merges are commutative, so that order does not affect the
         final snapshot; spans are adopted later, in profile order.
         """
@@ -1135,7 +1119,7 @@ class Campaign:
 
         With observation on, the profile gets its *own* Observation —
         single-threaded by construction whether it runs in the serial
-        loop, a worker thread, or a forked worker — serialised onto the
+        loop or a forked worker — serialised onto the
         outcome so the parent can merge it deterministically.
         """
         self._check_cancelled()

@@ -1,65 +1,43 @@
-"""Process-backed profile scheduler: true parallelism for campaigns.
+"""Parent-side plumbing shared by every multi-process executor.
 
-``CampaignConfig.workers`` originally fanned profiles over a
-``ThreadPoolExecutor``, which models the paper's testbed but speeds
-nothing up: the simulation is pure Python, so the GIL serializes the
-actual work.  This module fans the same parallelism granule — one unit
-test's whole profile — over *processes* instead.
+A campaign's parallelism granule is one unit test's whole profile (the
+paper's §4 "test in parallel").  Two executors run profiles outside the
+campaign process — the supervised pool (:mod:`repro.core.supervise`,
+what ``--workers N`` means) and the distributed coordinator
+(:mod:`repro.core.distrib`) — and both return finished profiles to the
+parent through this module:
 
-This is the **bare** backend (``--no-supervise``): a plain
-``ProcessPoolExecutor`` with no crash containment — one child that
-segfaults or ``os._exit``s still kills the whole pool with
-``BrokenProcessPool``.  The default path is the supervised pool in
-:mod:`repro.core.supervise`, which owns its workers over explicit pipes
-and survives child death; the wire format below is shared by both.
-
-Design constraints and how they are met:
-
-* **No pickling of live campaign state.**  The pool uses the ``fork``
-  start method, and workers find the campaign through the module-global
-  :data:`_WORKER_STATE` set just before the pool is created, so children
-  inherit registries, corpora, and profiles by copy-on-write instead of
-  serialization.  Only unit-test *names* cross the pipe going in, and
-  JSON-able result dicts (the checkpoint wire format) cross coming back.
-* **Shared-state writes happen in the parent.**  A forked child's
+* **The wire format.**  :func:`profile_outcome_to_dict` /
+  :func:`profile_outcome_from_dict` turn a ``ProfileOutcome`` into the
+  JSON-able checkpoint record and back.  Only unit-test *names* cross
+  going out (forked children inherit registries, corpora and profiles by
+  copy-on-write), and these dicts cross coming back.
+* **The commit point.**  :func:`commit_outcome` applies a finished
+  profile's shared-state effects in the parent.  A forked worker's
   :class:`FrequentFailureTracker` and checkpoint journal are private
-  copies, so the parent replays each returned profile's confirmed-unsafe
-  results into the real tracker and writes the authoritative
-  ``test-done`` journal records itself — **as each profile completes**,
-  not after the pool drains, so a mid-campaign crash loses only the
+  copies, so the parent replays its confirmed-unsafe results into the
+  real tracker and writes the authoritative ``test-done`` record itself,
+  **as each profile completes**, so a mid-campaign crash loses only the
   in-flight profiles.  Blacklist propagation *between* concurrently
-  running profiles is therefore backend-dependent — exactly as it
-  already is for threads, where it depends on scheduling order.
-* **Trace logs stay parent-only.**  A forked TraceLog would interleave
-  half-written lines from many processes into one file descriptor, so
-  the worker initializer disables tracing in the child; per-profile
-  counters still flow back through :class:`ProfileOutcome`.
-* **Graceful fallback.**  Platforms without ``fork`` (Windows, some
-  sandboxes) silently degrade to the thread backend rather than failing
-  the campaign.
+  running profiles therefore follows completion order.
+* **The fork probe.**  :func:`fork_available` decides whether the
+  supervised pool can run at all; without ``fork`` (Windows, some
+  sandboxes) ``--workers N`` falls back to the serial loop.
 
-Each child inherits a fork-time snapshot of the execution cache
+Each forked child inherits a fork-time snapshot of the execution cache
 (normally empty) and keeps a private cache across the profiles it owns;
 cache keys include the unit-test name, so per-child caches lose no
-cross-profile sharing the thread backend would have had for the same
-profile set.
+cross-profile sharing for the same profile set.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional
 
 from repro.core.checkpoint import result_from_dict, result_to_dict
 from repro.core.pooling import PoolStats
 from repro.core.registry import UnitTest
-
-#: Set by the parent immediately before forking the pool:
-#: ``{"campaign": Campaign, "profiles": {test name: TestProfile}}``.
-_WORKER_STATE: Dict[str, Any] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -97,57 +75,29 @@ def profile_outcome_from_dict(record: Mapping[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# child-side entry points
-# ---------------------------------------------------------------------------
-def _worker_init() -> None:
-    """Runs once per forked child: detach shared output channels."""
-    campaign = _WORKER_STATE.get("campaign")
-    if campaign is not None:
-        campaign.config.trace = None
-
-
-def _run_profile_worker(test_name: str) -> Dict[str, Any]:
-    campaign = _WORKER_STATE["campaign"]
-    profile = _WORKER_STATE["profiles"][test_name]
-    try:
-        # checkpoint=None: journaling is the parent's job (the child's
-        # journal object is a useless fork copy and concurrent appends
-        # from many processes would tear the file).
-        outcome = campaign._run_test_profile(profile, checkpoint=None)
-    except Exception:  # noqa: BLE001 - degrade, never kill the pool
-        from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
-        # The full traceback crosses the wire: the parent process cannot
-        # reconstruct a child stack after the fact, and the markdown
-        # report's infra section renders it for triage.
-        outcome = ProfileOutcome(error=traceback.format_exc(),
-                                 error_kind=HARNESS_ERROR)
-    return profile_outcome_to_dict(outcome)
-
-
-# ---------------------------------------------------------------------------
-# parent-side scheduler
+# parent side
 # ---------------------------------------------------------------------------
 def fork_available() -> bool:
+    import multiprocessing
     return "fork" in multiprocessing.get_all_start_methods()
 
 
 def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,
-                   outcome: Any, replay_tracker: bool = True) -> None:
-    """Apply one finished profile's shared-state effects in the parent.
+                   outcome: Any) -> None:
+    """Apply one finished worker profile's shared-state effects in the
+    parent.
 
     Frequent-failure bookkeeping feeds both future blacklisting and the
-    final report's blacklist section; it is replayed only for process
-    workers (a thread worker shares the live tracker and already
-    recorded its confirmations).  The ``test-done`` journal record is
-    written immediately — the incremental-journaling invariant both
-    backends rely on for crash-resume.
+    final report's blacklist section, and the forked worker's tracker was
+    a private copy, so confirmations are replayed here.  The
+    ``test-done`` journal record is written immediately — the
+    incremental-journaling invariant crash-resume relies on.
     """
-    if replay_tracker:
-        from repro.core.runner import CONFIRMED_UNSAFE
-        for result in outcome.results:
-            if result.verdict == CONFIRMED_UNSAFE:
-                for param in result.instance.params:
-                    campaign.tracker.record_unsafe(param, name)
+    from repro.core.runner import CONFIRMED_UNSAFE
+    for result in outcome.results:
+        if result.verdict == CONFIRMED_UNSAFE:
+            for param in result.instance.params:
+                campaign.tracker.record_unsafe(param, name)
     if checkpoint is not None:
         checkpoint.record_test_done(
             name, outcome.results, outcome.stats, outcome.executions,
@@ -160,42 +110,3 @@ def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,
     # Live observability fold (metrics merge + progress tick); span
     # adoption happens later in deterministic profile order.
     campaign._profile_committed(outcome)
-
-
-def run_profiles_in_processes(campaign: Any, profiles: Sequence[Any],
-                              checkpoint: Optional[Any],
-                              tests_by_name: Mapping[str, UnitTest]
-                              ) -> List[Any]:
-    """Run ``profiles`` across ``campaign.config.workers`` bare processes.
-
-    Returns outcomes aligned with ``profiles``; tracker replay and
-    checkpoint journaling happen here, in the parent, as each profile
-    completes.
-    """
-    if not fork_available():
-        from repro.core.supervise import run_profiles_in_threads
-        return run_profiles_in_threads(campaign, profiles, checkpoint)
-
-    names = [p.test.full_name for p in profiles]
-    _WORKER_STATE["campaign"] = campaign
-    _WORKER_STATE["profiles"] = {p.test.full_name: p for p in profiles}
-    outcomes_by_name: Dict[str, Any] = {}
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=campaign.config.workers,
-                                 mp_context=context,
-                                 initializer=_worker_init) as pool:
-            futures = {pool.submit(_run_profile_worker, name): name
-                       for name in names}
-            for future in as_completed(futures):
-                name = futures[future]
-                # BrokenProcessPool propagates here: the bare backend
-                # cannot survive a hard-dead child.  Profiles journaled
-                # before the crash are already durable.
-                record = future.result()
-                outcome = profile_outcome_from_dict(record, tests_by_name)
-                commit_outcome(campaign, checkpoint, name, outcome)
-                outcomes_by_name[name] = outcome
-    finally:
-        _WORKER_STATE.clear()
-    return [outcomes_by_name[name] for name in names]

@@ -34,11 +34,12 @@ class FrequentFailureTracker:
     enough to stop testing it: it is reported unsafe and never pooled
     again.
 
-    One tracker is shared by every worker thread of a campaign
-    (``CampaignConfig.workers > 1``), so the read-modify-write in
-    :meth:`record_unsafe` is guarded by a lock — without it two threads
-    confirming the same parameter concurrently could each observe a
-    below-threshold set and the parameter would never be blacklisted.
+    The campaign parent's tracker can be fed from several threads (the
+    distributed coordinator commits from per-connection threads), so the
+    read-modify-write in :meth:`record_unsafe` is guarded by a lock —
+    without it two threads confirming the same parameter concurrently
+    could each observe a below-threshold set and the parameter would
+    never be blacklisted.
     """
 
     def __init__(self, threshold: int = 3) -> None:

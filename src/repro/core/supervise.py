@@ -1,12 +1,18 @@
-"""Supervised worker pool: crash containment for parallel campaigns.
+"""The local executor: the serial loop or the supervised worker pool.
 
-The bare process backend (:mod:`repro.core.parallel`) dies with the
-first worker that segfaults, OOMs, or ``os._exit``s — ``BrokenProcessPool``
-aborts the whole campaign — and a CPU-bound hung child blocks the pool
-forever, because the simulated-time watchdog cannot see *real-time*
-hangs.  A campaign over thousands of flaky unit-test executions (§5,
-§7.2) needs the harness itself to tolerate worker failure, so this
-module owns its workers directly instead of borrowing an executor:
+:func:`run_profiles` is the one place a campaign chooses how to run its
+pending profiles on this host: ``--workers 1`` (or a platform without
+``fork``) runs them serially in the order given; ``--workers N > 1``
+fans them over the supervised pool below.  The orchestrator, the
+distributed coordinator's fall-back to local execution, and the
+``repro worker`` lease loop all call it.
+
+A campaign over thousands of flaky unit-test executions (§5, §7.2) needs
+the harness itself to tolerate worker failure — a child that segfaults,
+OOMs or ``os._exit``s must not abort the campaign, and a CPU-bound hung
+child must not block it forever, because the simulated-time watchdog
+cannot see *real-time* hangs.  So the pool owns its workers directly
+instead of borrowing an executor:
 
 * each worker is a **forked child on an explicit duplex pipe**; the
   parent sends ``{"task", "delivery"}`` messages and consumes results
@@ -34,7 +40,11 @@ module owns its workers directly instead of borrowing an executor:
   profile in between) trip a **circuit breaker**: something is wrong
   with the environment, not one profile, so the supervisor stops
   dispatching, kills the in-flight workers, and salvages a partial
-  report rather than respawning forever.
+  report rather than respawning forever;
+* the campaign's ``cancel_event`` is checked **before every dispatch**:
+  once set, nothing new is dispatched, the in-flight profiles finish and
+  are journaled, and :class:`~repro.core.orchestrator.CampaignCancelled`
+  is raised — a resume runs only the rest.
 
 Worker lifecycle::
 
@@ -47,31 +57,23 @@ Worker lifecycle::
 
 Quarantined profiles are journaled like any finished test: a resume
 does not retry poison — delete the journal line to force a re-run.
+Results are journaled in completion order (resume correctness is keyed
+by test name, and the final report folds outcomes back in profile
+order).
 
-Thread backend and fork-free platforms share the same as-completed
-collection (:func:`run_profiles_in_threads`): results are journaled in
-the parent the moment each profile finishes (completion order — resume
-correctness is keyed by test name, and the final report folds outcomes
-back in profile order either way).  Threads cannot be killed, so the
-supervision features above are process-backend only.
-
-Like every parallel backend (see :mod:`repro.core.parallel`),
-cross-profile blacklist propagation follows scheduling order, which is
+Cross-profile blacklist propagation follows completion order, which is
 timing-dependent: run-to-run byte-identity at ``workers > 1`` requires
 decoupled profiles (a ``blacklist_threshold`` no run reaches).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from multiprocessing import connection
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core import parallel
@@ -93,66 +95,44 @@ INJECTED_CRASH_EXIT = 70
 #: worker states (the lifecycle diagram in the module docstring).
 IDLE, BUSY, DEAD = "idle", "busy", "dead"
 
-#: Set for the supervisor's lifetime, inherited by forked children:
-#: ``{"campaign": Campaign, "profiles": {test name: TestProfile}}``.
-_CHILD_STATE: Dict[str, Any] = {}
-
 
 # ---------------------------------------------------------------------------
-# backend dispatch (the orchestrator's single entry point)
+# the local executor (the single entry point for every caller)
 # ---------------------------------------------------------------------------
-def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
-                          checkpoint: Optional[Any],
-                          tests_by_name: Mapping[str, UnitTest]
-                          ) -> List[Any]:
-    """Fan ``profiles`` over ``campaign.config.workers`` slots.
+def run_profiles(campaign: Any, profiles: Sequence[Any],
+                 checkpoint: Optional[Any],
+                 tests_by_name: Mapping[str, UnitTest],
+                 outcome_sink: Optional[Any] = None) -> List[Any]:
+    """Run ``profiles`` on this host; outcomes come back aligned with them.
 
-    ``parallel_backend == "process"`` (with fork available) uses the
-    supervised pool — or the bare executor under ``--no-supervise``;
-    everything else shares the thread-backed as-completed collection.
-    Outcomes come back aligned with ``profiles``.
+    ``workers > 1`` (with fork available) means the supervised pool,
+    dispatching longest-predicted-first under ``schedule == "lpt"``;
+    otherwise profiles run serially in the order given.  Either way each
+    outcome is journaled and committed the moment it finishes, and then
+    handed to ``outcome_sink(name, outcome)`` when one is given (the
+    distributed worker ships results upstream through it).
     """
     config = campaign.config
-    if config.parallel_backend == "process" and parallel.fork_available():
-        if config.supervise:
-            supervisor = Supervisor(campaign, profiles, checkpoint,
-                                    tests_by_name)
-            campaign.supervision = supervisor.stats
-            return supervisor.run()
-        return parallel.run_profiles_in_processes(campaign, profiles,
-                                                  checkpoint, tests_by_name)
-    return run_profiles_in_threads(campaign, profiles, checkpoint)
-
-
-def run_profiles_in_threads(campaign: Any, profiles: Sequence[Any],
-                            checkpoint: Optional[Any]) -> List[Any]:
-    """Thread backend behind the same as-completed collection contract.
-
-    Worker threads share the live campaign (tracker confirmations are
-    recorded in place, so no parent-side replay), but journaling is
-    still hoisted to the collecting thread and happens per completed
-    profile — the incremental-journaling guarantee is backend-uniform.
-    """
-    outcomes: Dict[str, Any] = {}
-    with ThreadPoolExecutor(max_workers=campaign.config.workers) as pool:
-        futures = {pool.submit(_run_profile_contained_noraise, campaign, p):
-                   p.test.full_name for p in profiles}
-        for future in as_completed(futures):
-            name = futures[future]
-            outcome = future.result()
-            parallel.commit_outcome(campaign, checkpoint, name, outcome,
-                                    replay_tracker=False)
-            outcomes[name] = outcome
-    return [outcomes[p.test.full_name] for p in profiles]
-
-
-def _run_profile_contained_noraise(campaign: Any, profile: Any) -> Any:
-    try:
-        return campaign._run_test_profile(profile, checkpoint=None)
-    except Exception:  # noqa: BLE001 - degrade, never kill the pool
-        from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
-        return ProfileOutcome(error=traceback.format_exc(),
-                              error_kind=HARNESS_ERROR)
+    if config.workers > 1 and profiles and parallel.fork_available():
+        # Dispatch order is a pure makespan concern: outcomes are keyed
+        # by test and folded back in catalog order, so reordering cannot
+        # change findings or deterministic metrics.
+        order = (campaign.cost_model.lpt_order(profiles)
+                 if config.schedule == "lpt" else list(profiles))
+        supervisor = Supervisor(campaign, order, checkpoint, tests_by_name,
+                                outcome_sink=outcome_sink)
+        campaign.supervision = supervisor.stats
+        supervisor.run()
+        return [supervisor.outcomes[p.test.full_name] for p in profiles]
+    outcomes = []
+    for profile in profiles:
+        campaign._check_cancelled()
+        outcome = campaign._run_profile_contained(profile, checkpoint)
+        campaign._profile_committed(outcome)
+        if outcome_sink is not None:
+            outcome_sink(profile.test.full_name, outcome)
+        outcomes.append(outcome)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +150,16 @@ def _apply_rlimits(cpu_s: Optional[int], mem_mb: Optional[int]) -> None:
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
+def _child_main(conn: Any, inherited: List[Any], campaign: Any,
+                profiles: Mapping[str, Any], rlimit_cpu: Optional[int],
                 rlimit_mem: Optional[int], heartbeat_every: float) -> None:
-    """Forked worker: recv task names, run profiles, send result dicts."""
+    """Forked worker: recv task names, run profiles, send result dicts.
+
+    ``campaign`` and ``profiles`` arrive as Process args, which the fork
+    context hands over by inheritance, never by pickling — so each
+    supervisor's children see exactly its own campaign even when several
+    supervisors run at once on threads of one process.
+    """
     # Close fork-inherited copies of other pipes (and our own parent
     # end): a sibling's EOF must become visible to the parent the moment
     # that sibling dies, not when we do too.
@@ -181,8 +168,6 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
             other.close()
         except OSError:  # pragma: no cover - already closed
             pass
-    campaign = _CHILD_STATE["campaign"]
-    profiles = _CHILD_STATE["profiles"]
     # A forked TraceLog would interleave writes from many processes into
     # one fd; counters still flow back through the outcome dicts.
     campaign.config.trace = None
@@ -274,6 +259,7 @@ class Supervisor:
         config = campaign.config
         self.campaign = campaign
         self.profiles = list(profiles)
+        self.by_name = {p.test.full_name: p for p in self.profiles}
         self.checkpoint = checkpoint
         self.tests_by_name = tests_by_name
         # Optional callback fired with (name, outcome) after each commit;
@@ -293,6 +279,9 @@ class Supervisor:
         self.recycle_after_profile = self.rlimit_cpu is not None
         self.slots = max(min(config.workers, len(self.profiles)), 1)
 
+        # Imported here, not at module level: the serial loop shares this
+        # module and should not pay for loading multiprocessing.
+        import multiprocessing
         self.context = multiprocessing.get_context("fork")
         self.workers: List[_Worker] = []
         self.queue: deque = deque()  # (test full name, delivery number)
@@ -300,26 +289,28 @@ class Supervisor:
         self.deliveries: Dict[str, int] = {}
         self.consecutive_crashes = 0
         self.halted = False
+        #: the campaign's cancel_event was seen set: dispatch stops and
+        #: the in-flight profiles drain before CampaignCancelled.
+        self.cancelled = False
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
     def run(self) -> List[Any]:
-        _CHILD_STATE["campaign"] = self.campaign
-        _CHILD_STATE["profiles"] = {p.test.full_name: p
-                                    for p in self.profiles}
         self.queue.extend((p.test.full_name, 1) for p in self.profiles)
         try:
             for _ in range(self.slots):
                 self.workers.append(self._spawn())
             while True:
                 self._dispatch()
-                if not self._busy() and (not self.queue or self.halted):
+                if not self._busy() and (not self.queue or self._draining()):
                     break
                 self._poll()
                 self._enforce_timeouts()
         finally:
             self._shutdown()
-            _CHILD_STATE.clear()
+        if self.cancelled and self.queue:
+            from repro.core.orchestrator import CampaignCancelled
+            raise CampaignCancelled(self.campaign.app)
         return [self.outcomes[p.test.full_name] for p in self.profiles]
 
     # -- worker lifecycle ----------------------------------------------
@@ -331,8 +322,8 @@ class Supervisor:
         inherited.append(parent_conn)
         proc = self.context.Process(
             target=_child_main,
-            args=(child_conn, inherited, self.rlimit_cpu, self.rlimit_mem,
-                  HEARTBEAT_INTERVAL_S),
+            args=(child_conn, inherited, self.campaign, self.by_name,
+                  self.rlimit_cpu, self.rlimit_mem, HEARTBEAT_INTERVAL_S),
             name="repro-worker-%d" % worker.id, daemon=True)
         proc.start()
         child_conn.close()  # the child's end lives only in the child now
@@ -343,7 +334,7 @@ class Supervisor:
         return worker
 
     def _respawn(self) -> None:
-        if self.halted or not (self.queue or self._busy()):
+        if self._draining() or not (self.queue or self._busy()):
             return
         self.stats.respawns += 1
         self.workers.append(self._spawn())
@@ -378,18 +369,25 @@ class Supervisor:
             self._kill(worker)
         else:
             self._retire(worker)
-        if self.queue:
+        if self.queue and not self._draining():
             self.workers.append(self._spawn())
 
     # -- scheduling ----------------------------------------------------
     def _busy(self) -> bool:
         return any(w.state == BUSY for w in self.workers)
 
+    def _draining(self) -> bool:
+        """True once nothing more may be dispatched: the breaker tripped
+        or the campaign's ``cancel_event`` is set (checked afresh here,
+        i.e. before every dispatch)."""
+        if not self.cancelled:
+            event = self.campaign.config.cancel_event
+            self.cancelled = event is not None and event.is_set()
+        return self.halted or self.cancelled
+
     def _dispatch(self) -> None:
-        if self.halted:
-            return
         for worker in list(self.workers):
-            if not self.queue:
+            if not self.queue or self._draining():
                 break
             if worker.state != IDLE:
                 continue
@@ -408,6 +406,7 @@ class Supervisor:
         conns = {w.conn: w for w in self.workers if w.state != DEAD}
         if not conns:
             return
+        from multiprocessing import connection
         ready = connection.wait(list(conns), timeout=_POLL_INTERVAL_S)
         for conn in ready:
             worker = conns[conn]

@@ -510,6 +510,108 @@ class TestAuthHandshake:
         assert "hunter2" not in json.dumps(settings)
 
 
+class TestLateJoiner:
+    """A hello that lands after the last commit is told ``done``."""
+
+    def finish(self, coordinator, profiles):
+        conn, _ = join(coordinator, name="early")
+        for _ in profiles:
+            lease = fetch(coordinator, conn)
+            deliver(coordinator, conn, lease["tasks"][0]["task"])
+        assert len(coordinator.outcomes) == len(profiles)
+
+    def test_hello_after_completion_gets_done(self):
+        _, coordinator, profiles = make_coordinator()
+        self.finish(coordinator, profiles)
+        late, reply = join(coordinator, name="late")
+        assert reply == {"kind": "done"}
+        assert late.worker is None  # nothing to lease, never registered
+        assert coordinator.stats.workers_joined == 2
+        # still true once teardown has begun
+        coordinator.closed = True
+        _, reply = join(coordinator, name="later")
+        assert reply == {"kind": "done"}
+
+    @pytest.mark.parametrize("secret, expected", [
+        (None, EXIT_OK),
+        # an unproven coordinator cannot make a secret-holding worker
+        # report success
+        ("fleet-secret", EXIT_REJECTED),
+    ])
+    def test_worker_maps_done_hello_reply(self, secret, expected):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+
+        def unauthenticated_done():
+            sock, _ = listener.accept()
+            link = net.FrameTransport(sock)
+            assert link.recv(timeout=10)["kind"] == "hello"
+            link.send({"kind": "done"})
+            link.close()
+
+        server = threading.Thread(target=unauthenticated_done, daemon=True)
+        server.start()
+        try:
+            assert run_worker(address, campaign_factory=synth_factory,
+                              worker_config=CampaignConfig(
+                                  dist_secret=secret),
+                              max_reconnects=0) == expected
+        finally:
+            server.join(timeout=10)
+            listener.close()
+        assert not server.is_alive()
+
+    @pytest.mark.parametrize("secret", [None, "fleet-secret"])
+    def test_linger_waits_for_a_handshaking_connection(self, secret,
+                                                       serial_baseline):
+        assert late_joiner_round(secret) == serial_baseline
+
+
+def late_joiner_round(secret):
+    """One coordinator, one worker that drains everything, and one raw
+    connection accepted early whose hello is sent only after the drain.
+    The coordinator must keep lingering for the handshaking connection
+    and answer its hello with ``done``.  Returns the report's
+    ``full_dict`` for comparison against serial."""
+    from repro.core.distrib import _auth_mac
+    port = _free_port()
+    address = "127.0.0.1:%d" % port
+    config = decoupled_config(distributed=address, dist_secret=secret,
+                              dist_join_grace_s=20.0)
+    campaign = synthetic_campaign(config=config)
+    box = {}
+    campaign_thread = threading.Thread(
+        target=lambda: box.setdefault("report", campaign.run()),
+        daemon=True)
+    campaign_thread.start()
+    deadline = time.monotonic() + 30
+    while not campaign.distribution.listen and time.monotonic() < deadline:
+        time.sleep(0.002)
+    late = net.connect("127.0.0.1", port, timeout=5.0)
+    try:
+        worker_config = CampaignConfig(dist_secret=secret)
+        assert run_worker(address, campaign_factory=synth_factory,
+                          name="early", worker_config=worker_config) \
+            == EXIT_OK
+        late.send({"kind": "hello", "worker": "late", "slots": 1,
+                   "nonce": "aabb", "digest": None})
+        reply = late.recv(timeout=10)
+        if secret:
+            assert reply["kind"] == "challenge"
+            late.send({"kind": "auth", "mac": _auth_mac(
+                secret, "worker", reply["nonce"])})
+            reply = late.recv(timeout=10)
+        assert reply == {"kind": "done"}
+    finally:
+        late.close()
+    campaign_thread.join(timeout=60)
+    assert "report" in box, "campaign did not finish"
+    assert campaign.distribution.workers_joined == 2
+    return full_dict(box["report"])
+
+
 # ---------------------------------------------------------------------------
 # end-to-end: coordinator + in-process workers over real TCP
 # ---------------------------------------------------------------------------
@@ -770,3 +872,33 @@ class TestChaosSubprocessFleet:
         assert stats.workers_joined >= 2
         assert stats.workers_lost >= 1
         assert not stats.degraded_to_local
+
+
+@pytest.mark.chaos
+class TestLateJoinerLoop:
+    """Repeats the late-joiner race, open and authenticated: each round
+    must end with both connections told ``done`` and serial findings."""
+
+    ROUNDS = 8
+
+    @pytest.mark.parametrize("secret", [None, "fleet-secret"])
+    def test_late_joiner_rounds(self, secret, serial_baseline):
+        for _ in range(self.ROUNDS):
+            assert late_joiner_round(secret) == serial_baseline
+
+    def test_slow_handshake_worker_exits_ok(self, serial_baseline):
+        # Every frame of worker 1's link is held back, so its hello can
+        # land after worker 0 drained the campaign; with no reconnect
+        # budget, being cut off mid-handshake would fail the round.
+        slow = net.NetFaultPlan(delay_prob=1.0, delay_range_s=(0.4, 0.4))
+        secret = CampaignConfig(dist_secret="fleet-secret")
+        for _ in range(3):
+            report, stats, exit_codes = run_distributed(
+                n_workers=2,
+                worker_kwargs={0: {"worker_config": secret},
+                               1: {"worker_config": secret,
+                                   "net_fault_plan": slow,
+                                   "max_reconnects": 0}},
+                config_kwargs={"dist_secret": "fleet-secret"})
+            assert full_dict(report) == serial_baseline
+            assert exit_codes == {0: EXIT_OK, 1: EXIT_OK}

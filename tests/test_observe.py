@@ -318,29 +318,10 @@ class TestBackendEquivalence:
     def serial(self):
         return equivalence_campaign().run()
 
-    def test_thread_backend_metrics_byte_identical(self, serial):
-        threaded = equivalence_campaign(workers=3).run()
-        assert threaded.observation.metrics.render_prometheus() \
-            == serial.observation.metrics.render_prometheus()
-        assert span_skeleton(threaded.observation) \
-            == span_skeleton(serial.observation)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="process backend needs fork")
-    def test_bare_process_backend_metrics_byte_identical(self, serial):
-        forked = equivalence_campaign(workers=2, parallel_backend="process",
-                                      supervise=False).run()
-        assert forked.observation.metrics.render_prometheus() \
-            == serial.observation.metrics.render_prometheus()
-        assert span_skeleton(forked.observation) \
-            == span_skeleton(serial.observation)
-
     @pytest.mark.skipif(not hasattr(os, "fork"),
                         reason="supervision needs fork")
     def test_supervised_backend_metrics_byte_identical(self, serial):
-        supervised = equivalence_campaign(workers=2,
-                                          parallel_backend="process",
-                                          supervise=True).run()
+        supervised = equivalence_campaign(workers=2).run()
         assert supervised.observation.metrics.render_prometheus() \
             == serial.observation.metrics.render_prometheus()
         assert span_skeleton(supervised.observation) \
@@ -565,7 +546,6 @@ class TestReconciliation:
             "synth", SYNTH_REGISTRY,
             tests=[hard_crash_test(), safe_only_test()],
             config=CampaignConfig(observe=True, workers=2,
-                                  parallel_backend="process",
                                   blacklist_threshold=999)).run()
         assert report.supervision.respawns > 0  # the crash path fired
         path = str(tmp_path / "metrics.prom")

@@ -1,4 +1,5 @@
-"""Tests for the process-backed profile scheduler (repro.core.parallel)."""
+"""Tests for the multi-process profile executor (repro.core.parallel wire
+format and commit point, driven through the supervised pool)."""
 
 from __future__ import annotations
 
@@ -71,14 +72,14 @@ class TestProcessBackend:
     def test_process_backend_matches_sequential_byte_for_byte(self):
         sequential = synthetic_campaign(config=decoupled_config()).run()
         process = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process")).run()
+            workers=2)).run()
         assert full_dict(sequential) == full_dict(process)
 
     def test_process_backend_with_exec_cache(self):
         sequential = synthetic_campaign(
             config=decoupled_config(exec_cache=True)).run()
         process = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process", exec_cache=True)).run()
+            workers=2, exec_cache=True)).run()
         normalize = lambda r: {  # noqa: E731
             k: v for k, v in app_report_to_dict(r).items()
             if k not in ("exec_cache", "supervision")}
@@ -89,29 +90,38 @@ class TestProcessBackend:
 
     def test_process_backend_replays_blacklist_into_parent(self):
         report = synthetic_campaign(config=CampaignConfig(
-            workers=2, parallel_backend="process",
-            blacklist_threshold=1)).run()
+            workers=2, blacklist_threshold=1)).run()
         assert set(report.blacklisted) >= {"synth.mode", "synth.level"}
 
     def test_process_backend_journals_checkpoint_in_parent(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         first = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process",
-            checkpoint_path=path)).run()
+            workers=2, checkpoint_path=path)).run()
         # Resume: every profile is restored from the parent-written
         # journal, reproducing the first report (restored outcomes keep
         # their journaled execution counts).
         resumed = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process",
-            checkpoint_path=path)).run()
+            workers=2, checkpoint_path=path)).run()
         assert full_dict(resumed) == full_dict(first)
 
-    def test_fork_unavailable_falls_back_to_threads(self, monkeypatch):
+    def test_fork_unavailable_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(parallel, "fork_available", lambda: False)
-        report = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process")).run()
-        sequential = synthetic_campaign(config=decoupled_config()).run()
-        assert full_dict(report) == full_dict(sequential)
+        # Coupled profiles (default blacklist threshold): only the serial
+        # loop in catalog order reproduces the serial report exactly.
+        report = synthetic_campaign(config=CampaignConfig(workers=2)).run()
+        sequential = synthetic_campaign().run()
+        assert not report.supervision.enabled  # no pool was started
+        assert (json.dumps(app_report_to_dict(report), sort_keys=True)
+                == json.dumps(app_report_to_dict(sequential),
+                              sort_keys=True))
+
+    def test_backend_alias_selects_nothing(self):
+        """``parallel_backend`` survives only as an accepted alias: either
+        value runs the supervised pool at ``workers > 1``."""
+        for backend in ("thread", "process"):
+            report = synthetic_campaign(config=decoupled_config(
+                workers=2, parallel_backend=backend)).run()
+            assert report.supervision.enabled
 
     def test_unknown_backend_rejected(self):
         campaign = synthetic_campaign(config=CampaignConfig(
@@ -136,6 +146,5 @@ class TestProcessBackend:
         monkeypatch.setattr(PooledTester, "run", exploding_run)
         report = synthetic_campaign(
             tests=[broken, safe_only_test()],
-            config=decoupled_config(workers=2,
-                                    parallel_backend="process")).run()
+            config=decoupled_config(workers=2)).run()
         assert broken.full_name in report.degraded_tests

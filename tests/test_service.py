@@ -131,12 +131,31 @@ def test_canonical_spec_fills_defaults_and_sorts():
         canonical_spec({"params": ["a", "b"], "app": "flink"}))
 
 
+def test_backend_alias_keys_keep_their_digests():
+    """``parallel_backend`` and ``supervise`` select nothing any more, but
+    stored specs carrying them must keep the digests their checkpoint
+    journals are keyed by (values pinned from before the keys became
+    aliases)."""
+    explicit = canonical_spec({"app": "flink", "workers": 2,
+                               "parallel_backend": "process",
+                               "supervise": False})
+    assert spec_digest(explicit) == "6f51ed995a0ad213a39a3c58e51cf794"
+    defaults = canonical_spec({"app": "hdfs"})
+    assert defaults["parallel_backend"] == "thread"
+    assert defaults["supervise"] is True
+    assert spec_digest(defaults) == "03dc5628ea58bab84acbd03091d25580"
+    assert spec_digest(canonical_spec(
+        {"app": "hdfs", "parallel_backend": "thread", "supervise": True})) \
+        == "03dc5628ea58bab84acbd03091d25580"
+
+
 @pytest.mark.parametrize("bad", [
     {"app": "nosuchapp"},
     {"app": "flink", "bogus_knob": 1},
     {"app": "flink", "workers": "two"},
     {"app": "flink", "faults": {"gamma_rays": 0.5}},
     {"app": "flink", "parallel_backend": "quantum"},
+    {"app": "flink", "supervise": "yes"},
     [],
 ])
 def test_canonical_spec_rejects(bad):
@@ -300,6 +319,27 @@ def test_cancel_then_resubmit_resumes(daemon, tmp_path):
     ref_json, ref_md = cli_reference(tmp_path, "mapreduce")
     assert served_json == ref_json
     assert served_md == ref_md
+
+
+def test_concurrent_pooled_jobs_match_their_standalone_runs(tmp_path):
+    """Two ``workers: 2`` jobs of one app run at once; each report must
+    be byte-identical to the same campaign run alone through the CLI."""
+    live = LiveDaemon(tmp_path, max_active=2, store=False)
+    try:
+        params = ["akka.ssl.enabled", "taskmanager.numberOfTaskSlots"]
+        jobs = [live.submit({"app": "flink", "workers": 2, "store": False,
+                             "blacklist_threshold": 999, "params": [p]})
+                for p in params]
+        for job, param in zip(jobs, params):
+            live.wait_done(job["id"])
+            _, served = live.request(
+                "GET", "/v1/campaigns/%s/report" % job["id"])
+            ref_json, _ = cli_reference(
+                tmp_path, "flink", ["--workers", "2", "--blacklist-threshold",
+                                    "999", "--param", param])
+            assert served == ref_json
+    finally:
+        live.close()
 
 
 def test_cancel_queued_job_is_immediate(tmp_path):

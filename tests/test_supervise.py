@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 
 import pytest
 
 from repro.common.faults import FaultPlan
 from repro.core.checkpoint import CampaignCheckpoint
-from repro.core.orchestrator import Campaign, CampaignConfig
+from repro.core.orchestrator import Campaign, CampaignCancelled, CampaignConfig
 from repro.core.report import app_report_to_dict
 from repro.core.reportmd import app_report_markdown
 from synthetic_app import (SYNTH_REGISTRY, SynthConfiguration, Service,
@@ -30,7 +31,6 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
 
 def campaign(tests, **config_kwargs):
     config_kwargs.setdefault("workers", 2)
-    config_kwargs.setdefault("parallel_backend", "process")
     config_kwargs.setdefault("blacklist_threshold", 999)  # decouple profiles
     return Campaign("synth", SYNTH_REGISTRY, tests=tests,
                     config=CampaignConfig(**config_kwargs))
@@ -143,29 +143,6 @@ class TestCrashContainment:
 # incremental journaling + resume
 # ---------------------------------------------------------------------------
 class TestIncrementalJournaling:
-    def test_bare_backend_journals_completed_profiles_before_dying(
-            self, tmp_path):
-        """--no-supervise keeps the bare executor: a dead child still
-        aborts the campaign, but everything journaled up to that point
-        survives, and a *supervised* resume finishes the job."""
-        path = str(tmp_path / "ck.jsonl")
-        tests = lambda: [two_service_test(), safe_only_test(),  # noqa: E731
-                         hard_crash_test()]
-        # catalog schedule: the crasher must be *dispatched* last so some
-        # work finishes (and journals) before the bare pool breaks; LPT
-        # dispatch order depends on measured pre-run weights.
-        with pytest.raises(Exception):
-            campaign(tests(), supervise=False, checkpoint_path=path,
-                     schedule="catalog").run()
-        salvage = CampaignCheckpoint(path)
-        assert salvage.load() >= 1  # incremental: finished work survived
-
-        resumed = campaign(tests(), checkpoint_path=path,
-                           worker_redelivery=0).run()
-        assert "synth::TestSynth.testWorkerCrash" in resumed.quarantined_tests
-        after = CampaignCheckpoint(path)
-        assert after.load() == 3  # every profile now journaled
-
     def test_quarantined_profile_is_journaled_and_not_retried(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         tests = lambda: [hard_crash_test(), safe_only_test()]  # noqa: E731
@@ -182,19 +159,76 @@ class TestIncrementalJournaling:
         record.pop("supervision"), record_first.pop("supervision")
         assert record == record_first
 
-    def test_thread_backend_shares_the_incremental_contract(self, tmp_path):
+    def test_cancel_stops_dispatch_and_resumes_byte_identical(
+            self, tmp_path):
+        """cancel_event is checked before every dispatch: in-flight
+        profiles finish and are journaled, nothing new starts, and the
+        campaign raises CampaignCancelled; a resume runs only the rest."""
+        tests = lambda: [  # noqa: E731
+            two_service_test(), client_vs_service_test(), safe_only_test(),
+            two_service_test(name="TestSynth.testExchangeAgain"),
+            client_vs_service_test(name="TestSynth.testClientAgain")]
         path = str(tmp_path / "ck.jsonl")
-        tests = lambda: [two_service_test(), client_vs_service_test(),  # noqa: E731
-                         safe_only_test()]
-        first = campaign(tests(), parallel_backend="thread",
-                         checkpoint_path=path).run()
-        assert not first.supervision.enabled  # threads can't be killed
-        journal = CampaignCheckpoint(path)
-        assert journal.load() == 3
-        resumed = campaign(tests(), parallel_backend="thread",
-                           checkpoint_path=path).run()
-        assert (app_report_to_dict(resumed)
-                == app_report_to_dict(first))
+        cancel = threading.Event()
+        with pytest.raises(CampaignCancelled):
+            # parallel_backend="process": the spelling serve specs used to
+            # pick this pool, accepted and ignored now.
+            campaign(tests(), checkpoint_path=path, cancel_event=cancel,
+                     parallel_backend="process",
+                     progress_hook=lambda snapshot: cancel.set()).run()
+        journaled = CampaignCheckpoint(path).load()
+        # the first commit set the event: at most the other slot's
+        # in-flight profile finished after it
+        assert 1 <= journaled <= 2
+
+        resumed = campaign(tests(), checkpoint_path=path).run()
+        uncancelled = campaign(tests()).run()
+        record = app_report_to_dict(resumed)
+        reference = app_report_to_dict(uncancelled)
+        record.pop("supervision"), reference.pop("supervision")
+        assert (json.dumps(record, sort_keys=True)
+                == json.dumps(reference, sort_keys=True))
+
+
+# ---------------------------------------------------------------------------
+# concurrent supervisors in one process (``repro serve --max-active N``)
+# ---------------------------------------------------------------------------
+class TestConcurrentSupervisors:
+    def test_each_pool_runs_its_own_campaign(self):
+        """Two pools running at once on threads of one process must fork
+        children that run their own campaign.  Both campaigns use the
+        same test names over different parameters, so a child that ran
+        the other pool's campaign would report the wrong parameters.
+        (Supervision counters are left out: how many replacement workers
+        a recycle spawns depends on how results batch up per poll.)"""
+        specs = [frozenset({"synth.mode"}), frozenset({"synth.level"})]
+
+        def report_json(only_params):
+            tests = [two_service_test(name="TestSynth.testExchange%d" % i)
+                     for i in range(6)]
+            # a CPU rlimit recycles every worker after each profile, so
+            # both pools keep forking for the whole run
+            report = campaign(tests, only_params=only_params,
+                              worker_rlimit_cpu_s=600).run()
+            record = app_report_to_dict(report)
+            record.pop("supervision")
+            return json.dumps(record, sort_keys=True)
+
+        alone = [report_json(only) for only in specs]
+        assert alone[0] != alone[1]
+        for _ in range(3):
+            together = [None, None]
+
+            def run(i):
+                together[i] = report_json(specs[i])
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert together == alone
 
 
 # ---------------------------------------------------------------------------
