@@ -24,10 +24,10 @@ crashes, or answers late must never corrupt findings:
 * **Bounded reconnect.**  Workers reconnect with exponential backoff and
   jitter, at most ``--reconnect-attempts`` consecutive failures.
 * **Redelivery with quarantine.**  A lease lost to a dead worker is
-  re-queued at most ``worker_redelivery`` times (the supervised pool's
-  own bound) before the profile is quarantined as a
-  :data:`~repro.core.runner.WORKER_CRASH` outcome — poison cannot starve
-  the fleet.
+  re-queued at most ``worker_redelivery`` times before the profile is
+  quarantined as a :data:`~repro.core.runner.WORKER_CRASH` outcome —
+  poison cannot starve the fleet.  The supervised pool applies the same
+  rule: both hold a :class:`repro.core.parallel.LeaseLedger`.
 * **Work stealing.**  When the queue drains, an idle worker is granted a
   *copy* of the oldest outstanding lease (at most ``dist_max_copies``
   holders): a straggler or silently-dead holder cannot stall campaign
@@ -44,15 +44,18 @@ crashes, or answers late must never corrupt findings:
   answered with a terminal ``done`` frame, so a late joiner exits 0
   instead of burning reconnects against a closed port.
 
-The coordinator commits outcomes through the same
-:func:`repro.core.parallel.commit_outcome` path the supervised pool
-uses, and the campaign folds them back in catalog order
-(:meth:`Campaign._run_inner`).  Findings are therefore byte-identical to
-serial runs when profiles are decoupled (a ``blacklist_threshold`` no
-run reaches); at the default threshold, blacklist propagation between
-concurrently running profiles follows completion order.  The lease
-queue is LPT-ordered (:mod:`repro.core.costmodel`), which — like every
-dispatch-order choice — affects wall-clock makespan only.
+The ledger commits outcomes through
+:func:`repro.core.parallel.commit_outcome`, like every executor, and the
+campaign folds them back in catalog order (:meth:`Campaign._run_inner`).
+Findings are therefore byte-identical to serial runs when profiles are
+decoupled (a ``blacklist_threshold`` no run reaches); at the default
+threshold, blacklist propagation between concurrently running profiles
+follows completion order.  The lease queue is LPT-ordered
+(:mod:`repro.core.costmodel`), which — like every dispatch-order choice
+— affects wall-clock makespan only.  What differs from the pool stays
+here: connections, auth, stealing, degradation, linger, and a lease
+deadline that requeues while its holder keeps running (the pool's
+profile deadline kills and quarantines).
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from repro.common.faults import fault_seed
 from repro.core import parallel
 from repro.core.prerun import prerun_corpus
 from repro.core.registry import UnitTest
-from repro.core.runner import WORKER_CRASH
 
 #: read deadline for a control reply (welcome, lease, ack) before the
 #: worker declares the connection wedged and reconnects.
@@ -144,7 +146,7 @@ class _Conn:
 class Coordinator:
     """Serves one campaign's pending profiles to remote workers.
 
-    All shared state (queue, leases, outcomes, fleet bookkeeping) is
+    All shared state (the lease ledger, leases, fleet bookkeeping) is
     guarded by one lock; message handling is funnelled through
     :meth:`_handle_message`, which takes and returns plain dicts so the
     protocol is unit-testable without sockets.
@@ -156,8 +158,6 @@ class Coordinator:
                  host: str = "127.0.0.1", port: int = 0) -> None:
         config = campaign.config
         self.campaign = campaign
-        self.profiles = list(profiles)
-        self.checkpoint = checkpoint
         self.tests_by_name = tests_by_name
         self.host, self.port = host, port
         self.stats = campaign.distribution
@@ -169,7 +169,6 @@ class Coordinator:
         self.max_copies = max(config.dist_max_copies, 1)
         self.join_grace = config.dist_join_grace_s
         self.fleet_grace = config.dist_fleet_grace_s
-        self.redelivery = max(config.worker_redelivery, 0)
         self.net_plan = config.net_fault_plan
         #: shared secret for the HMAC challenge-response handshake
         #: (None/"" = open coordinator, legacy hello/welcome).
@@ -177,12 +176,13 @@ class Coordinator:
 
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
-        #: (test full name, delivery number), grant order = LPT order.
-        self.queue: List[Tuple[str, int]] = [
-            (p.test.full_name, 1) for p in self.profiles]
+        #: pending (test, delivery) in grant order (= LPT order) and the
+        #: committed outcomes; called only under ``self.lock``.
+        self.ledger = parallel.LeaseLedger(
+            campaign, checkpoint, (p.test.full_name for p in profiles),
+            config.worker_redelivery, self.stats, "coordinator")
         #: test name -> {"delivery", "holders": {worker keys}, "granted_at"}.
         self.leases: Dict[str, Dict[str, Any]] = {}
-        self.outcomes: Dict[str, Any] = {}
         self.workers: List[_RemoteWorker] = []
         from repro.core.report import FleetWorker
         self._fleet: Dict[str, FleetWorker] = {}
@@ -214,7 +214,7 @@ class Coordinator:
         try:
             with self.cond:
                 while True:
-                    if len(self.outcomes) == len(self.profiles):
+                    if self.ledger.finished():
                         break
                     self._police_locked(time.monotonic(), started)
                     if self.halted:
@@ -225,7 +225,7 @@ class Coordinator:
         finally:
             self._teardown()
         self.stats.fleet = [self._fleet[name] for name in sorted(self._fleet)]
-        return dict(self.outcomes)
+        return dict(self.ledger.outcomes)
 
     def _listen(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -374,7 +374,7 @@ class Coordinator:
                               "coordinator %r — same checkout required"
                               % (digest, self.digest)}
         self._handshaking.discard(conn)
-        finished = len(self.outcomes) == len(self.profiles)
+        finished = self.ledger.finished()
         if not finished and (self.closed or self.halted):
             return {"kind": "reject", "reason": "coordinator is shutting down"}
         name = str(message.get("worker") or "worker")
@@ -418,16 +418,18 @@ class Coordinator:
             tasks.append(lease)
         if tasks:
             return {"kind": "lease", "tasks": tasks}
-        if len(self.outcomes) == len(self.profiles):
+        if self.ledger.finished():
             return {"kind": "done"}
         return {"kind": "wait", "delay": WAIT_DELAY_S}
 
     def _next_lease_locked(self, worker: _RemoteWorker
                            ) -> Optional[Dict[str, Any]]:
-        while self.queue:
-            name, delivery = self.queue.pop(0)
-            if name in self.outcomes:
-                continue  # finished while a redelivery/copy sat queued
+        while True:
+            # The ledger skips tests finished while a redelivery sat queued.
+            item = self.ledger.pop()
+            if item is None:
+                break
+            name, delivery = item
             lease = self.leases.get(name)
             if lease is None:
                 lease = self.leases[name] = {
@@ -447,7 +449,7 @@ class Coordinator:
         candidates = sorted(
             (lease["granted_at"], name)
             for name, lease in self.leases.items()
-            if name not in self.outcomes
+            if name not in self.ledger.outcomes
             and worker.key not in lease["holders"]
             and len(lease["holders"]) < self.max_copies)
         if not candidates:
@@ -468,21 +470,16 @@ class Coordinator:
         lease = self.leases.get(name)
         if lease is not None:
             lease["holders"].discard(worker.key)
-        if name in self.outcomes:
+        if name not in self.ledger.names:
+            return ack  # not ours; ack to stop the resend loop
+        outcome = parallel.profile_outcome_from_dict(message["outcome"],
+                                                     self.tests_by_name)
+        if not self.ledger.commit(name, outcome):
             # A resend after a lost ack, or a stolen copy finishing
             # second: ack it (the worker must stop resending) but the
             # committed outcome stands — no double counting, ever.
             self.stats.duplicates_suppressed += 1
             return ack
-        if name not in self.tests_by_name and not any(
-                p.test.full_name == name for p in self.profiles):
-            return ack  # not ours; ack to stop the resend loop
-        outcome = parallel.profile_outcome_from_dict(message["outcome"],
-                                                     self.tests_by_name)
-        # The same commit path every backend uses: tracker replay,
-        # immediate test-done journaling, live observability fold.
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
         self.leases.pop(name, None)
         self.stats.remote_profiles += 1
         self._fleet[worker.name].profiles += 1
@@ -509,7 +506,7 @@ class Coordinator:
                 for worker in self.workers:
                     worker.tasks.discard(name)
                 del self.leases[name]
-                self._requeue_or_quarantine_locked(
+                self.ledger.lost(
                     name, lease["delivery"],
                     "lease exceeded the %.1fs deadline" % self.lease_deadline)
         alive = any(w.alive for w in self.workers)
@@ -547,36 +544,14 @@ class Coordinator:
             if lease is None:
                 continue
             lease["holders"].discard(worker.key)
-            if lease["holders"] or name in self.outcomes:
+            if lease["holders"] or name in self.ledger.outcomes:
                 continue  # a stolen copy is still running it
             del self.leases[name]
-            self._requeue_or_quarantine_locked(
+            self.ledger.lost(
                 name, lease["delivery"],
                 "worker %r lost while holding the lease (%s)"
                 % (worker.name, reason))
         worker.tasks.clear()
-        self.cond.notify_all()
-
-    def _requeue_or_quarantine_locked(self, name: str, delivery: int,
-                                      reason: str) -> None:
-        if delivery <= self.redelivery:
-            self.stats.redeliveries += 1
-            self.queue.append((name, delivery + 1))
-            return
-        # Same poison escalation as the supervised pool: record a
-        # WORKER_CRASH outcome (journaled — a resume does not retry it).
-        from repro.core.orchestrator import ProfileOutcome
-        outcome = ProfileOutcome(
-            error="%s; profile quarantined after %d deliveries"
-                  % (reason, delivery),
-            error_kind=WORKER_CRASH)
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
-        self.stats.quarantined += 1
-        obs = self.campaign.observation
-        if obs is not None:
-            obs.event("dist-quarantine", kind="coordinator", test=name,
-                      reason=reason)
         self.cond.notify_all()
 
     def _degrade_locked(self, reason: str) -> None:

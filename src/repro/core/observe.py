@@ -71,7 +71,7 @@ __all__ = [
 #: *many* parameters per execution — so parameters ride along as span
 #: attributes instead (see docs/OBSERVABILITY.md).
 SPAN_KINDS = ("app", "prerun", "audit", "profile", "pool", "bisection",
-              "instance", "trial", "supervisor")
+              "instance", "trial", "supervisor", "coordinator")
 
 #: Modelled machine-seconds bucket boundaries.  Executions cost whole
 #: multiples of ``run_cost_s`` (default 60s), so buckets are chosen in

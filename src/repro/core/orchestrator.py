@@ -17,9 +17,9 @@ from repro.common.faults import FaultPlan
 from repro.common.node import NODE_TYPES
 from repro.common.params import ParamRegistry
 from repro.common.simulation import kernel_stats_snapshot
+from repro.core import parallel
 from repro.core.confagent import UNIT_TEST
-from repro.core.checkpoint import (CampaignCheckpoint, result_from_dict,
-                                   result_to_dict)
+from repro.core.checkpoint import CampaignCheckpoint, result_to_dict
 from repro.core.costmodel import CostModel
 from repro.core.execcache import ExecutionCache
 from repro.core.observe import MetricsRegistry, Observation, ProgressReporter
@@ -360,6 +360,7 @@ class Campaign:
 
     # ------------------------------------------------------------------
     def run(self) -> AppReport:
+        self._validate_config()
         from repro.common.ipc import set_ipc_sharing
         previous_sharing = set_ipc_sharing(not self.config.disable_ipc_sharing)
         try:
@@ -369,6 +370,19 @@ class Campaign:
             if self._store is not None:
                 self._store.close()
                 self._store = None
+
+    def _validate_config(self) -> None:
+        """Refuse a bad config before any work: no prerun, no journal
+        header, no progress hook may precede the ValueError."""
+        config = self.config
+        if config.sample is not None and config.sample not in SAMPLE_MODES:
+            raise ValueError("unknown sampling mode %r (expected one of %s)"
+                             % (config.sample, ", ".join(SAMPLE_MODES)))
+        if config.parallel_backend not in ("thread", "process"):
+            raise ValueError("unknown parallel backend %r"
+                             % config.parallel_backend)
+        if config.schedule not in ("lpt", "catalog"):
+            raise ValueError("unknown schedule %r" % config.schedule)
 
     def _observing(self) -> bool:
         return (self.config.observe
@@ -417,10 +431,6 @@ class Campaign:
             profiles = prerun_corpus(self.tests)
         usable = [p for p in profiles if p.usable]
         stage_counts = self._stage_counts(profiles, usable)
-        if self.config.sample is not None \
-                and self.config.sample not in SAMPLE_MODES:
-            raise ValueError("unknown sampling mode %r (expected one of %s)"
-                             % (self.config.sample, ", ".join(SAMPLE_MODES)))
         checkpoint = self._open_checkpoint()
         self._cache = self._build_cache()
         # Built once per run: checkpoint restore and the process backend
@@ -429,40 +439,33 @@ class Campaign:
         tests_by_name = {t.full_name: t for t in self.tests}
         self._plan = self._build_plan(usable, checkpoint)
 
-        # Partition tests into already-journaled (restore + replay their
-        # blacklist effects), plan-REUSE (fold from the store, journal as
-        # done, replay blacklist effects — zero fresh executions) and
-        # still-pending (run for real).  Outcomes are assembled keyed by
-        # test and folded back in the original profile order so a resumed
-        # campaign reproduces the interrupted one bit for bit.
+        # Partition tests into already-journaled (restored), plan-REUSE
+        # (folded from the store — zero fresh executions) and still-pending
+        # (run for real).  Restored and reused outcomes enter through the
+        # same commit point as fresh ones, which replays their blacklist
+        # effects.  Outcomes are assembled keyed by test and folded back
+        # in the original profile order so a resumed campaign reproduces
+        # the interrupted one bit for bit.
         outcome_by_test: Dict[str, ProfileOutcome] = {}
         pending: List[TestProfile] = []
         if self._progress is not None:
             self._progress.total = len(usable)
         for profile in usable:
             name = profile.test.full_name
+            outcome, status = None, parallel.RESTORED
             if checkpoint is not None and checkpoint.has_test(name):
                 outcome = self._restore_profile(checkpoint, name,
                                                 tests_by_name)
-                outcome_by_test[name] = outcome
-                self._profile_committed(outcome, restored=True)
-                continue
-            if self._plan is not None \
+            elif self._plan is not None \
                     and self._plan.decision(name) == PLAN_REUSE:
-                outcome = self._fold_planned_profile(profile, checkpoint,
-                                                     tests_by_name)
-                if outcome is not None:
-                    outcome_by_test[name] = outcome
-                    self._profile_committed(outcome, reused=True)
-                    continue
-            pending.append(profile)
+                outcome = self._fold_planned_profile(profile, tests_by_name)
+                status = parallel.REUSED
+            if outcome is None:
+                pending.append(profile)
+                continue
+            parallel.commit_outcome(self, checkpoint, name, outcome, status)
+            outcome_by_test[name] = outcome
 
-        if self.config.parallel_backend not in ("thread", "process"):
-            raise ValueError("unknown parallel backend %r"
-                             % self.config.parallel_backend)
-        schedule = self.config.schedule
-        if schedule not in ("lpt", "catalog"):
-            raise ValueError("unknown schedule %r" % schedule)
         self.cost_model = CostModel(self)
         self.supervision = SupervisionStats()
         self.distribution = DistributionStats()
@@ -674,23 +677,14 @@ class Campaign:
     def _restore_profile(self, checkpoint: CampaignCheckpoint, name: str,
                          tests_by_name: Mapping[str, UnitTest]
                          ) -> ProfileOutcome:
-        (results, stats, executions, fault_counts, retries,
-         error, error_kind) = checkpoint.restore_test(name, tests_by_name)
-        # Replay blacklist bookkeeping: confirmations from journaled
-        # tests must count toward the frequent-failure threshold exactly
-        # as they did in the interrupted run.
-        for result in results:
-            if result.verdict == CONFIRMED_UNSAFE:
-                for param in result.instance.params:
-                    self.tracker.record_unsafe(param, name)
+        outcome = ProfileOutcome(*checkpoint.restore_test(name,
+                                                          tests_by_name))
         trace = self.config.trace
         if trace is not None:
             trace.emit("checkpoint-restore", app=self.app, test=name,
-                       instances=len(results), executions=executions)
-        return ProfileOutcome(results=results, stats=stats,
-                              executions=executions,
-                              fault_counts=fault_counts, retries=retries,
-                              error=error, error_kind=error_kind)
+                       instances=len(outcome.results),
+                       executions=outcome.executions)
+        return outcome
 
     # ------------------------------------------------------------------
     # incremental planning (--incremental) and store profile records
@@ -733,7 +727,6 @@ class Campaign:
         return plan
 
     def _fold_planned_profile(self, profile: TestProfile,
-                              checkpoint: Optional[CampaignCheckpoint],
                               tests_by_name: Mapping[str, UnitTest]
                               ) -> Optional[ProfileOutcome]:
         """Fold one plan-REUSE profile from its stored record.
@@ -741,9 +734,9 @@ class Campaign:
         Returns None when the stored record has vanished since planning
         (store GC raced, disk fault ate the segment) — the caller then
         runs the profile for real, which is always correct, just slower.
-        Mirrors :meth:`_restore_profile`: blacklist confirmations replay
-        exactly as they did in the stored run, and the fold is journaled
-        as a finished test so a crash + resume restores it identically.
+        The caller commits the fold like any finished profile: blacklist
+        confirmations replay exactly as they did in the stored run, and
+        it is journaled so a crash + resume restores it identically.
         """
         name = profile.test.full_name
         stored = self._store.lookup_profile(self._plan.plan_for(name).key)
@@ -751,32 +744,18 @@ class Campaign:
             return None
         record = stored["record"]
         try:
-            results = [result_from_dict(r, tests_by_name)
-                       for r in record["results"]]
-            stats = PoolStats(**record["pool_stats"])
+            # Zero fresh executions: the whole point of the plan.  The
+            # stored pool statistics are preserved so the findings
+            # projection is byte-identical to the run that produced them.
+            outcome = parallel.profile_outcome_from_dict(
+                dict(record, executions=0, error=""), tests_by_name)
         except (KeyError, TypeError, ValueError):
             # damaged or schema-drifted record: fall back to running.
             return None
-        for result in results:
-            if result.verdict == CONFIRMED_UNSAFE:
-                for param in result.instance.params:
-                    self.tracker.record_unsafe(param, name)
-        fault_counts = {str(k): int(v)
-                        for k, v in record.get("fault_counts", {}).items()}
-        retries = int(record.get("retries", 0))
-        # Zero fresh executions: the whole point of the plan.  The stored
-        # pool statistics are preserved so the findings projection is
-        # byte-identical to the campaign that produced them.
-        outcome = ProfileOutcome(results=results, stats=stats, executions=0,
-                                 fault_counts=fault_counts, retries=retries)
-        if checkpoint is not None:
-            checkpoint.record_test_done(name, results, stats, 0,
-                                        fault_counts=fault_counts,
-                                        retries=retries)
         trace = self.config.trace
         if trace is not None:
             trace.emit("plan-reuse", app=self.app, test=name,
-                       instances=len(results),
+                       instances=len(outcome.results),
                        executions_saved=int(record.get("executions", 0)))
         return outcome
 
@@ -851,7 +830,8 @@ class Campaign:
     def _run_profile_contained(self, profile: TestProfile,
                                checkpoint: Optional[CampaignCheckpoint]
                                ) -> ProfileOutcome:
-        """Run one profile; contain harness crashes; journal the outcome."""
+        """Run one profile, containing harness crashes; the caller
+        commits the outcome."""
         try:
             outcome = self._run_test_profile(profile, checkpoint)
         except Exception:  # noqa: BLE001 - graceful degradation
@@ -861,13 +841,6 @@ class Campaign:
             if trace is not None:
                 trace.emit("test-error", app=self.app,
                            test=profile.test.full_name, error=outcome.error)
-        if checkpoint is not None:
-            checkpoint.record_test_done(
-                profile.test.full_name, outcome.results, outcome.stats,
-                outcome.executions, fault_counts=outcome.fault_counts,
-                retries=outcome.retries, error=outcome.error,
-                error_kind=outcome.error_kind)
-        self._record_measured_cost(profile.test.full_name, outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -928,13 +901,11 @@ class Campaign:
                              outcome.executions * run_cost)
 
     def _profile_committed(self, outcome: ProfileOutcome,
-                           restored: bool = False,
-                           reused: bool = False) -> None:
+                           status: str) -> None:
         """Fold one finished profile into the live campaign observation.
 
-        Called from the serial loop, checkpoint restore, and
-        ``parallel.commit_outcome`` (supervised pool and distributed
-        coordinator) — always in the parent, in completion order.
+        Called only from ``parallel.commit_outcome`` — always in the
+        parent, in completion order.
         Metric merges are commutative, so that order does not affect the
         final snapshot; spans are adopted later, in profile order.
         """
@@ -951,16 +922,13 @@ class Campaign:
                         max(root["wall_end"] - root["wall_start"], 0.0))
             else:
                 self._replay_profile_metrics(obs.metrics, outcome)
-            if restored:
-                status = "restored"
-            elif reused:
-                status = "reused"
-            elif outcome.error_kind == WORKER_CRASH:
-                status = "quarantined"
-            elif outcome.error:
-                status = "degraded"
-            else:
-                status = "completed"
+            if status == parallel.FRESH:
+                if outcome.error_kind == WORKER_CRASH:
+                    status = "quarantined"
+                elif outcome.error:
+                    status = "degraded"
+                else:
+                    status = "completed"
             obs.metrics.counter_inc("zc_profiles_total", status=status)
         if self._progress is not None:
             self._progress.tick(self._progress_snapshot())

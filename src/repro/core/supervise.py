@@ -16,9 +16,8 @@ instead of borrowing an executor:
 
 * each worker is a **forked child on an explicit duplex pipe**; the
   parent sends ``{"task", "delivery"}`` messages and consumes results
-  **as they complete**, journaling every ``test-done`` checkpoint record
-  immediately — a crash (parent or child) loses at most the in-flight
-  profiles;
+  **as they complete**, committing (and so journaling) each at once — a
+  crash (parent or child) loses at most the in-flight profiles;
 * a side thread in every child sends **heartbeats**; plain CPU-bound
   work keeps beating (the GIL preempts), so silence means the process is
   genuinely frozen (SIGSTOP, stuck syscall) and it is killed and its
@@ -31,7 +30,8 @@ instead of borrowing an executor:
   captured) and respawned, and the profile is redelivered to a fresh
   worker at most ``worker_redelivery`` times before it is quarantined as
   a :data:`~repro.core.runner.WORKER_CRASH` infra outcome instead of
-  aborting the run;
+  aborting the run (the :class:`~repro.core.parallel.LeaseLedger` rule
+  the distributed coordinator shares);
 * ``worker_rlimit_cpu_s`` / ``worker_rlimit_mem_mb`` apply
   ``resource.setrlimit`` caps inside each child.  RLIMIT_CPU accrues per
   *process*, so with a CPU cap set, workers are **recycled** after every
@@ -55,11 +55,10 @@ Worker lifecycle::
                 │                 └─ heartbeat silence (SIGKILL) ──> DEAD ...
                 └─ crash while idle ──> DEAD
 
-Quarantined profiles are journaled like any finished test: a resume
-does not retry poison — delete the journal line to force a re-run.
 Results are journaled in completion order (resume correctness is keyed
 by test name, and the final report folds outcomes back in profile
-order).
+order); quarantined profiles are journaled too, so a resume does not
+retry poison.
 
 Cross-profile blacklist propagation follows completion order, which is
 timing-dependent: run-to-run byte-identity at ``workers > 1`` requires
@@ -73,12 +72,10 @@ import signal
 import threading
 import time
 import traceback
-from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core import parallel
 from repro.core.registry import UnitTest
-from repro.core.runner import WORKER_CRASH
 
 try:
     import resource
@@ -108,9 +105,10 @@ def run_profiles(campaign: Any, profiles: Sequence[Any],
     ``workers > 1`` (with fork available) means the supervised pool,
     dispatching longest-predicted-first under ``schedule == "lpt"``;
     otherwise profiles run serially in the order given.  Either way each
-    outcome is journaled and committed the moment it finishes, and then
-    handed to ``outcome_sink(name, outcome)`` when one is given (the
-    distributed worker ships results upstream through it).
+    outcome goes through :func:`repro.core.parallel.commit_outcome` the
+    moment it finishes, which hands it to ``outcome_sink(name, outcome)``
+    when one is given (the distributed worker ships results upstream
+    through it).
     """
     config = campaign.config
     if config.workers > 1 and profiles and parallel.fork_available():
@@ -122,15 +120,14 @@ def run_profiles(campaign: Any, profiles: Sequence[Any],
         supervisor = Supervisor(campaign, order, checkpoint, tests_by_name,
                                 outcome_sink=outcome_sink)
         campaign.supervision = supervisor.stats
-        supervisor.run()
-        return [supervisor.outcomes[p.test.full_name] for p in profiles]
+        outcomes = supervisor.run()
+        return [outcomes[p.test.full_name] for p in profiles]
     outcomes = []
     for profile in profiles:
         campaign._check_cancelled()
         outcome = campaign._run_profile_contained(profile, checkpoint)
-        campaign._profile_committed(outcome)
-        if outcome_sink is not None:
-            outcome_sink(profile.test.full_name, outcome)
+        parallel.commit_outcome(campaign, checkpoint, profile.test.full_name,
+                                outcome, sink=outcome_sink)
         outcomes.append(outcome)
     return outcomes
 
@@ -260,17 +257,14 @@ class Supervisor:
         self.campaign = campaign
         self.profiles = list(profiles)
         self.by_name = {p.test.full_name: p for p in self.profiles}
-        self.checkpoint = checkpoint
         self.tests_by_name = tests_by_name
-        # Optional callback fired with (name, outcome) after each commit;
-        # the distributed worker uses it to ship results upstream while
-        # the pool keeps running.
-        self.outcome_sink = outcome_sink
         self.stats = SupervisionStats(enabled=True)
+        self.ledger = parallel.LeaseLedger(
+            campaign, checkpoint, self.by_name, config.worker_redelivery,
+            self.stats, "supervisor", sink=outcome_sink)
         self.deadline = config.profile_deadline_s
         self.heartbeat_timeout = max(config.heartbeat_timeout_s,
                                      2 * HEARTBEAT_INTERVAL_S)
-        self.redelivery = max(config.worker_redelivery, 0)
         self.breaker_threshold = max(config.crash_loop_threshold, 1)
         self.rlimit_cpu = config.worker_rlimit_cpu_s
         self.rlimit_mem = config.worker_rlimit_mem_mb
@@ -284,9 +278,6 @@ class Supervisor:
         import multiprocessing
         self.context = multiprocessing.get_context("fork")
         self.workers: List[_Worker] = []
-        self.queue: deque = deque()  # (test full name, delivery number)
-        self.outcomes: Dict[str, Any] = {}
-        self.deliveries: Dict[str, int] = {}
         self.consecutive_crashes = 0
         self.halted = False
         #: the campaign's cancel_event was seen set: dispatch stops and
@@ -295,23 +286,25 @@ class Supervisor:
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
-    def run(self) -> List[Any]:
-        self.queue.extend((p.test.full_name, 1) for p in self.profiles)
+    def run(self) -> Dict[str, Any]:
+        """Run every profile; returns the outcomes keyed by test name."""
+        ledger = self.ledger
         try:
             for _ in range(self.slots):
                 self.workers.append(self._spawn())
             while True:
                 self._dispatch()
-                if not self._busy() and (not self.queue or self._draining()):
+                if not self._busy() and (not ledger.pending()
+                                         or self._draining()):
                     break
                 self._poll()
                 self._enforce_timeouts()
         finally:
             self._shutdown()
-        if self.cancelled and self.queue:
+        if self.cancelled and ledger.pending():
             from repro.core.orchestrator import CampaignCancelled
             raise CampaignCancelled(self.campaign.app)
-        return [self.outcomes[p.test.full_name] for p in self.profiles]
+        return ledger.outcomes
 
     # -- worker lifecycle ----------------------------------------------
     def _spawn(self) -> _Worker:
@@ -334,7 +327,7 @@ class Supervisor:
         return worker
 
     def _respawn(self) -> None:
-        if self._draining() or not (self.queue or self._busy()):
+        if self._draining() or not (self.ledger.pending() or self._busy()):
             return
         self.stats.respawns += 1
         self.workers.append(self._spawn())
@@ -369,7 +362,7 @@ class Supervisor:
             self._kill(worker)
         else:
             self._retire(worker)
-        if self.queue and not self._draining():
+        if self.ledger.pending() and not self._draining():
             self.workers.append(self._spawn())
 
     # -- scheduling ----------------------------------------------------
@@ -387,15 +380,18 @@ class Supervisor:
 
     def _dispatch(self) -> None:
         for worker in list(self.workers):
-            if not self.queue or self._draining():
+            if self._draining():
                 break
             if worker.state != IDLE:
                 continue
-            name, delivery = self.queue.popleft()
+            item = self.ledger.pop()
+            if item is None:
+                break
+            name, delivery = item
             try:
                 worker.conn.send({"task": name, "delivery": delivery})
             except OSError:
-                self.queue.appendleft((name, delivery))
+                self.ledger.putback(name, delivery)
                 self._worker_died(worker)
                 continue
             worker.task, worker.delivery = name, delivery
@@ -425,13 +421,8 @@ class Supervisor:
         worker.last_seen = time.monotonic()
         if msg.get("kind") != "result":
             return  # heartbeat
-        name = msg["task"]
-        outcome = parallel.profile_outcome_from_dict(msg["outcome"],
-                                                     self.tests_by_name)
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
-        if self.outcome_sink is not None:
-            self.outcome_sink(name, outcome)
+        self.ledger.commit(msg["task"], parallel.profile_outcome_from_dict(
+            msg["outcome"], self.tests_by_name))
         self.consecutive_crashes = 0
         worker.task = None
         worker.state = IDLE
@@ -463,7 +454,7 @@ class Supervisor:
         if worker.task is not None:
             name, delivery = worker.task, worker.delivery
             worker.task = None
-            self._requeue_or_quarantine(
+            self.ledger.lost(
                 name, delivery,
                 "worker process died while running the profile (%s)" % reason)
         if self.consecutive_crashes >= self.breaker_threshold:
@@ -497,7 +488,7 @@ class Supervisor:
                 # A deterministic runaway loop would just burn another
                 # full deadline on redelivery: quarantine immediately.
                 self.stats.deadline_kills += 1
-                self._quarantine(
+                self.ledger.quarantine(
                     name,
                     "profile exceeded the %.1fs wall-clock deadline "
                     "(--profile-deadline); worker SIGKILLed and reaped"
@@ -508,7 +499,7 @@ class Supervisor:
                 # environmental — redeliver within the usual bound.
                 self.stats.heartbeat_kills += 1
                 self.consecutive_crashes += 1
-                self._requeue_or_quarantine(
+                self.ledger.lost(
                     name, delivery,
                     "worker sent no heartbeat for %.1fs; killed as frozen"
                     % self.heartbeat_timeout)
@@ -516,38 +507,6 @@ class Supervisor:
                     self._trip_breaker("repeated heartbeat silence")
                 else:
                     self._respawn()
-
-    def _requeue_or_quarantine(self, name: str, delivery: int,
-                               reason: str) -> None:
-        if delivery <= self.redelivery:
-            self.stats.redeliveries += 1
-            self.queue.append((name, delivery + 1))
-        else:
-            self._quarantine(
-                name, "%s; profile quarantined after %d deliveries"
-                % (reason, delivery))
-
-    def _quarantine(self, name: str, reason: str) -> None:
-        """Record a WORKER_CRASH infra outcome instead of aborting.
-
-        Journaled like any finished test: a resume does not retry
-        poison — delete the journal record to force a re-run.
-        """
-        from repro.core.orchestrator import ProfileOutcome
-        outcome = ProfileOutcome(error=reason, error_kind=WORKER_CRASH)
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
-        if self.outcome_sink is not None:
-            self.outcome_sink(name, outcome)
-        self.stats.quarantined += 1
-        obs = self.campaign.observation
-        if obs is not None:
-            obs.event("quarantine", kind="supervisor", test=name,
-                      reason=reason)
-        trace = self.campaign.config.trace
-        if trace is not None:
-            trace.emit("worker-quarantine", app=self.campaign.app,
-                       test=name, error=reason)
 
     def _trip_breaker(self, reason: str) -> None:
         if self.halted:
@@ -563,10 +522,11 @@ class Supervisor:
             name = worker.task
             worker.task = None
             self._kill(worker)
-            self._quarantine(name, halt)
-        while self.queue:
-            name, _ = self.queue.popleft()
-            self._quarantine(name, halt)
+            self.ledger.quarantine(name, halt)
+        item = self.ledger.pop()
+        while item is not None:
+            self.ledger.quarantine(item[0], halt)
+            item = self.ledger.pop()
 
     # -- teardown ------------------------------------------------------
     def _shutdown(self) -> None:

@@ -140,6 +140,25 @@ class TestJournal:
             resumed.check_header("synth", {"alpha": 0.05})
 
 
+class TestConfigRefusedBeforeWork:
+    """An invalid config is refused before the prerun: nothing executes
+    and no journal header is left behind for a resume to trip over."""
+
+    @pytest.mark.parametrize("field, message", [
+        ("schedule", "unknown schedule"),
+        ("parallel_backend", "unknown parallel backend"),
+        ("sample", "unknown sampling mode"),
+    ])
+    def test_bad_config_leaves_no_journal(self, tmp_path, field, message):
+        path = tmp_path / "campaign.jsonl"
+        counters = {}
+        with pytest.raises(ValueError, match=message):
+            campaign(counting_tests(counters), checkpoint_path=str(path),
+                     **{field: "bogus"}).run()
+        assert not path.exists()
+        assert counters == {}  # not even the prerun ran
+
+
 class TestCampaignResume:
     def run_interrupted_then_resume(self, tmp_path, keep_done):
         """Full run -> cut the journal after ``keep_done`` tests -> resume."""

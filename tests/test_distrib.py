@@ -25,10 +25,12 @@ from repro.core import distrib, parallel
 from repro.core.distrib import (EXIT_OK, EXIT_RECONNECTS_EXHAUSTED,
                                 EXIT_REJECTED, Coordinator, _Conn,
                                 corpus_digest, run_worker)
+from repro.core.observe import Observation
 from repro.core.orchestrator import Campaign, CampaignConfig, ProfileOutcome
 from repro.core.prerun import prerun_corpus
 from repro.core.report import app_report_to_dict
 from repro.core.runner import WORKER_CRASH
+from repro.core.tracelog import TraceLog
 from synthetic_app import SYNTH_REGISTRY, two_service_test
 from test_orchestrator import synthetic_campaign
 
@@ -304,7 +306,7 @@ class TestCoordinatorProtocol:
         task = lease["tasks"][0]["task"]
         assert deliver(coordinator, conn, task) == {"kind": "ack",
                                                     "task": task}
-        assert task in coordinator.outcomes
+        assert task in coordinator.ledger.outcomes
         assert coordinator.stats.remote_profiles == 1
         # the resend of a lost ack is acked again but never recommitted
         assert deliver(coordinator, conn, task)["kind"] == "ack"
@@ -348,11 +350,12 @@ class TestCoordinatorProtocol:
             coordinator._worker_lost_locked(conn.worker, "test kill")
         assert coordinator.stats.workers_lost == 1
         assert coordinator.stats.redeliveries == 1
-        assert (task, 2) in coordinator.queue
+        assert (task, 2) in coordinator.ledger.queue
         # the redelivered lease (queued behind the untouched profiles)
         # is granted to the next worker that drains the queue
         fresh, _ = join(coordinator, name="w2")
-        lease = fetch(coordinator, fresh, max_tasks=len(coordinator.queue))
+        lease = fetch(coordinator, fresh,
+                      max_tasks=len(coordinator.ledger.queue))
         granted = {t["task"]: t["delivery"] for t in lease["tasks"]}
         assert granted[task] == 2
 
@@ -371,7 +374,30 @@ class TestCoordinatorProtocol:
         with coordinator.cond:
             coordinator._worker_lost_locked(conn.worker, "crashed")
         assert coordinator.stats.quarantined == 1
-        assert coordinator.outcomes[task].error_kind == WORKER_CRASH
+        assert coordinator.ledger.outcomes[task].error_kind == WORKER_CRASH
+
+    def test_quarantine_matches_the_pool(self):
+        """The fleet quarantines through the pool's ledger: a committed
+        WORKER_CRASH outcome plus the pool's ``worker-quarantine`` trace
+        record and ``quarantine`` observation event."""
+        trace = TraceLog()
+        campaign, coordinator, _ = make_coordinator(worker_redelivery=0,
+                                                    trace=trace)
+        campaign.observation = Observation()
+        conn, _ = join(coordinator)
+        task = fetch(coordinator, conn)["tasks"][0]["task"]
+        with coordinator.cond:
+            coordinator._worker_lost_locked(conn.worker, "crashed")
+        outcome = coordinator.ledger.outcomes[task]
+        assert outcome.error_kind == WORKER_CRASH
+        assert "quarantined after 1 deliveries" in outcome.error
+        records = trace.of_kind("worker-quarantine")
+        assert [(r.data["test"], r.data["error"]) for r in records] \
+            == [(task, outcome.error)]
+        events = [s for s in campaign.observation.spans
+                  if s.name == "quarantine"]
+        assert [(e.kind, e.attrs["test"]) for e in events] \
+            == [("coordinator", task)]
 
     def test_heartbeat_expiry_declares_the_worker_dead(self):
         _, coordinator, _ = make_coordinator()
@@ -518,7 +544,7 @@ class TestLateJoiner:
         for _ in profiles:
             lease = fetch(coordinator, conn)
             deliver(coordinator, conn, lease["tasks"][0]["task"])
-        assert len(coordinator.outcomes) == len(profiles)
+        assert len(coordinator.ledger.outcomes) == len(profiles)
 
     def test_hello_after_completion_gets_done(self):
         _, coordinator, profiles = make_coordinator()
@@ -770,7 +796,8 @@ class TestDistributedEndToEnd:
             n_workers=1,
             worker_kwargs={0: {"worker_config":
                                CampaignConfig(dist_secret="mine")}},
-            config_kwargs={"dist_join_grace_s": 1.0})
+            config_kwargs={"dist_join_grace_s": 1.0,
+                           "dist_fleet_grace_s": 1.0})
         assert exit_codes[0] == EXIT_REJECTED
         assert stats.remote_profiles == 0
         assert full_dict(report) == serial_baseline
@@ -782,7 +809,8 @@ class TestDistributedEndToEnd:
 
         report, stats, exit_codes = run_distributed(
             n_workers=1, factory=skewed,
-            config_kwargs={"dist_join_grace_s": 1.0})
+            config_kwargs={"dist_join_grace_s": 1.0,
+                           "dist_fleet_grace_s": 1.0})
         assert exit_codes[0] == EXIT_REJECTED
         # nothing the skewed worker did can have touched the findings
         assert full_dict(report) == serial_baseline
