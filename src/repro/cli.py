@@ -223,13 +223,12 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              "(default) or legacy catalog order; findings "
                              "are identical either way")
     parser.add_argument("--exec-cache", action="store_true",
-                        help="memoize executions in a content-addressed "
-                             "cache, so identical homogeneous baselines and "
-                             "repeated confirmation/pool runs execute once; "
-                             "verdicts are byte-identical either way")
+                        help="accepted for compatibility; does nothing: "
+                             "executions are always memoized in a "
+                             "content-addressed cache")
     parser.add_argument("--store", metavar="DIR", default=None,
-                        help="durable cross-campaign result store: implies "
-                             "--exec-cache semantics, persists outcomes and "
+                        help="durable cross-campaign result store: backs "
+                             "the execution cache, persists outcomes and "
                              "reports to DIR so a second campaign starts "
                              "warm; findings are byte-identical warm or "
                              "cold (docs/STORE.md)")
@@ -505,7 +504,6 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
                             fault_plan=_fault_plan(args),
                             checkpoint_path=args.checkpoint,
                             infra_retries=args.infra_retries,
-                            exec_cache=args.exec_cache,
                             store_path=args.store,
                             incremental=args.incremental,
                             sample=args.sample,

@@ -236,7 +236,7 @@ class CostModel:
                         units += layer_units
         surcharge = (units * UNSAFE_PRIOR_PCT * SINGLETON_COST) // 100
         predicted = pool_runs + surcharge
-        hits = (surcharge * CACHE_HIT_PCT) // 100 if config.exec_cache else 0
+        hits = (surcharge * CACHE_HIT_PCT) // 100 if campaign.uses_cache else 0
         prediction = ProfilePrediction(
             test=name, pool_runs=pool_runs, units=units,
             predicted_executions=predicted, predicted_cache_hits=hits,

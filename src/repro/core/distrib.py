@@ -47,10 +47,14 @@ crashes, or answers late must never corrupt findings:
 The ledger commits outcomes through
 :func:`repro.core.parallel.commit_outcome`, like every executor, and the
 campaign folds them back in catalog order (:meth:`Campaign._run_inner`).
-Findings are therefore byte-identical to serial runs when profiles are
-decoupled (a ``blacklist_threshold`` no run reaches); at the default
-threshold, blacklist propagation between concurrently running profiles
-follows completion order.  The lease queue is LPT-ordered
+Every ``lease`` reply carries the ledger's committed confirmations
+(:meth:`~repro.core.parallel.LeaseLedger.confirmations`), which the
+worker merges into its tracker before running the batch, so a remote
+worker tests against the blacklist as known at lease time.  Findings
+are byte-identical to serial runs when profiles are decoupled (a
+``blacklist_threshold`` no run reaches); at the default threshold,
+confirmations committed while a lease is in flight cannot reach it, so
+findings depend on the schedule.  The lease queue is LPT-ordered
 (:mod:`repro.core.costmodel`), which — like every dispatch-order choice
 — affects wall-clock makespan only.  What differs from the pool stays
 here: connections, auth, stealing, degradation, linger, and a lease
@@ -417,7 +421,8 @@ class Coordinator:
                 break
             tasks.append(lease)
         if tasks:
-            return {"kind": "lease", "tasks": tasks}
+            return {"kind": "lease", "tasks": tasks,
+                    "confirmations": self.ledger.confirmations()}
         if self.ledger.finished():
             return {"kind": "done"}
         return {"kind": "wait", "delay": WAIT_DELAY_S}
@@ -902,6 +907,7 @@ def _serve_leases(campaign: Any, transport_: net.FrameTransport,
             raise net.TransportError("expected a lease, got %r" % kind)
         batch = [(str(t["task"]), int(t.get("delivery", 1)))
                  for t in reply.get("tasks", ())]
+        campaign.tracker.merge(reply.get("confirmations", {}))
         shipper.deliveries.update(dict(batch))
         _run_batch(campaign, batch, shipper, profiles_by_name, tests_by_name)
         if shipper.broken:

@@ -87,7 +87,8 @@ FAULT_KEYS = {
 #: "choice?:..." (nullable choice).
 #: Kept flat and explicit so docs/SERVICE.md can state it verbatim.
 #: ``parallel_backend`` and ``supervise`` are accepted aliases that select
-#: nothing (``workers > 1`` always means the supervised pool); they stay
+#: nothing (``workers > 1`` always means the supervised pool), and
+#: ``exec_cache`` is a no-op (the execution cache is always on); they stay
 #: in the schema, defaults included, so stored specs keep their digests.
 SPEC_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "app": (None, "app"),
@@ -500,7 +501,6 @@ class JobQueue:
         config = CampaignConfig(
             workers=spec["workers"],
             schedule=spec["schedule"],
-            exec_cache=spec["exec_cache"],
             store_path=self.store_path if spec["store"] else None,
             incremental=spec["incremental"],
             sample=spec["sample"],

@@ -133,9 +133,11 @@ class CampaignConfig:
     infra_retries: int = 2
     #: simulated-seconds budget per execution before TEST_TIMEOUT.
     watchdog_sim_s: float = DEFAULT_WATCHDOG_SIM_S
-    #: memoize executions in a content-addressed cache (see
-    #: repro.core.execcache); verdicts are byte-identical either way.
-    exec_cache: bool = False
+    #: the execution cache (repro.core.execcache) is always on; False
+    #: survives only as the uncached reference that equivalence tests and
+    #: benchmarks/bench_execcache.py compare against, like perf.FAST_PATH
+    #: — not a tuning knob.  Verdicts are byte-identical either way.
+    exec_cache: bool = True
     #: directory of the durable cross-campaign result store (see
     #: repro.core.store).  Implies the execution cache: lookups fall
     #: through to persisted entries and fresh outcomes are appended
@@ -331,7 +333,7 @@ class Campaign:
                                        dependency_rules=dependency_rules,
                                        max_value_pairs=self.config.max_value_pairs)
         self.tracker = FrequentFailureTracker(self.config.blacklist_threshold)
-        #: per-run execution cache (built in _run when config.exec_cache).
+        #: per-run execution cache (built in _run_inner; see uses_cache).
         self._cache: Optional[ExecutionCache] = None
         #: durable cross-campaign result store (opened lazily by
         #: _build_cache when config.store_path; closed after each run).
@@ -553,8 +555,7 @@ class Campaign:
             degraded_tests=tuple(degraded),
             quarantined_tests=tuple(quarantined),
             degraded_errors=degraded_errors,
-            exec_cache_enabled=(self.config.exec_cache
-                                or bool(self.config.store_path)),
+            exec_cache_enabled=self.uses_cache,
             audit=audit_stats,
             supervision=self.supervision,
             distribution=self.distribution,
@@ -613,10 +614,18 @@ class Campaign:
     # ------------------------------------------------------------------
     # execution cache
     # ------------------------------------------------------------------
+    @property
+    def uses_cache(self) -> bool:
+        """Whether this campaign's runs memoize executions: always, except
+        for the uncached reference (``exec_cache=False`` without a store).
+        The one place this is decided; the cost model and the report read
+        it."""
+        return self.config.exec_cache or bool(self.config.store_path)
+
     def _build_cache(self) -> Optional[ExecutionCache]:
         """A fresh per-run cache keyed by everything that shapes a single
         execution's behaviour (so stale outcomes can never be served)."""
-        if not self.config.exec_cache and not self.config.store_path:
+        if not self.uses_cache:
             return None
         context = {
             "app": self.app,

@@ -13,15 +13,20 @@ a plan-REUSE store record — enters the campaign through this module:
   authoritative ``test-done`` journal record, feeds the cost book, folds
   the outcome into the live observation and hands it to the outcome
   sink.  Executors commit **as each profile completes**, so a crash
-  loses only the in-flight profiles, and blacklist propagation
-  *between* concurrently running profiles follows completion order.
+  loses only the in-flight profiles.
 * **The lease ledger.**  :class:`LeaseLedger` is what the supervised pool
   and the coordinator share: the pending ``(test, delivery)`` queue, the
   committed outcomes (first commit wins), the ``worker_redelivery``
-  requeue-or-quarantine rule and the
-  :data:`~repro.core.runner.WORKER_CRASH` quarantine.  It knows nothing
-  of pipes, sockets, kills or steals, and takes no lock (the coordinator
-  calls it under its own).
+  requeue-or-quarantine rule, the
+  :data:`~repro.core.runner.WORKER_CRASH` quarantine, and
+  :meth:`LeaseLedger.confirmations`, the committed blacklist state that
+  every pool task and every lease carries; the worker merges it into its
+  own tracker before running.  A worker therefore tests against the
+  blacklist as known at dispatch time; only confirmations committed
+  while a profile is *in flight* stay invisible to it, so at a
+  ``blacklist_threshold`` a run reaches, findings still depend on the
+  schedule.  The ledger knows nothing of pipes, sockets, kills or
+  steals, and takes no lock (the coordinator calls it under its own).
 * **The wire format.**  :func:`profile_outcome_to_dict` /
   :func:`profile_outcome_from_dict` turn a ``ProfileOutcome`` into the
   JSON-able checkpoint record and back.  Only unit-test *names* cross
@@ -40,7 +45,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict
-from typing import Any, Deque, Dict, Iterable, Mapping, Optional, Tuple
+from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.core.checkpoint import result_from_dict, result_to_dict
 from repro.core.pooling import PoolStats
@@ -163,6 +169,12 @@ class LeaseLedger:
 
     def pending(self) -> bool:
         return any(name not in self.outcomes for name, _ in self.queue)
+
+    def confirmations(self) -> Dict[str, List[str]]:
+        """The committed confirmed-unsafe results, as the dispatch payload
+        a worker merges into its tracker (a fork-time or remote tracker
+        never sees commits made after it was built)."""
+        return self.campaign.tracker.confirmations()
 
     def finished(self) -> bool:
         return len(self.outcomes) == len(self.names)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.execcache import execution_seed
 from repro.core.runner import CONFIRMED_UNSAFE, InstanceResult, TestRunner
@@ -62,6 +63,19 @@ class FrequentFailureTracker:
     def allowed(self, param: str) -> bool:
         with self._lock:
             return param not in self.blacklisted
+
+    def confirmations(self) -> Dict[str, List[str]]:
+        """param -> sorted confirming tests: everything :meth:`merge`
+        needs to rebuild this tracker's blacklist elsewhere (JSON-able)."""
+        with self._lock:
+            return {param: sorted(tests)
+                    for param, tests in sorted(self._failed_tests.items())}
+
+    def merge(self, confirmations: Mapping[str, Iterable[str]]) -> None:
+        """Fold in another tracker's :meth:`confirmations` (idempotent)."""
+        for param, tests in confirmations.items():
+            for test_name in tests:
+                self.record_unsafe(param, test_name)
 
 
 @dataclass

@@ -83,12 +83,10 @@ def app_report_markdown(report: AppReport) -> str:
         stats_rows.append(["voided pool runs (re-drawn)", pool.pool_voids])
         stats_rows.append(["pools abandoned as infra",
                            pool.pool_infra_giveups])
-    if report.exec_cache_enabled:
-        stats_rows.append(["exec-cache hits", format(pool.exec_cache_hits,
-                                                     ",")])
-        stats_rows.append(["exec-cache misses",
-                           format(pool.exec_cache_misses, ",")])
-        stats_rows.append(["exec-cache bypasses", pool.exec_cache_bypasses])
+    stats_rows.append(["exec-cache hits", format(pool.exec_cache_hits, ",")])
+    stats_rows.append(["exec-cache misses",
+                       format(pool.exec_cache_misses, ",")])
+    stats_rows.append(["exec-cache bypasses", pool.exec_cache_bypasses])
     sections.append(_table(["metric", "value"], stats_rows))
     sections.append("")
 

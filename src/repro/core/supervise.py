@@ -15,9 +15,10 @@ cannot see *real-time* hangs.  So the pool owns its workers directly
 instead of borrowing an executor:
 
 * each worker is a **forked child on an explicit duplex pipe**; the
-  parent sends ``{"task", "delivery"}`` messages and consumes results
-  **as they complete**, committing (and so journaling) each at once — a
-  crash (parent or child) loses at most the in-flight profiles;
+  parent sends ``{"task", "delivery", "confirmations"}`` messages and
+  consumes results **as they complete**, committing (and so journaling)
+  each at once — a crash (parent or child) loses at most the in-flight
+  profiles;
 * a side thread in every child sends **heartbeats**; plain CPU-bound
   work keeps beating (the GIL preempts), so silence means the process is
   genuinely frozen (SIGSTOP, stuck syscall) and it is killed and its
@@ -60,8 +61,13 @@ by test name, and the final report folds outcomes back in profile
 order); quarantined profiles are journaled too, so a resume does not
 retry poison.
 
-Cross-profile blacklist propagation follows completion order, which is
-timing-dependent: run-to-run byte-identity at ``workers > 1`` requires
+A child's tracker is a fork-time copy that the parent's commits never
+reach, so every task message carries the parent's committed
+confirmations (:meth:`~repro.core.parallel.LeaseLedger.confirmations`)
+and the child merges them before running: each profile starts from the
+blacklist as known at dispatch time.  Confirmations committed while a
+profile is in flight still cannot reach it, so which ones it sees
+depends on timing: run-to-run byte-identity at ``workers > 1`` requires
 decoupled profiles (a ``blacklist_threshold`` no run reaches).
 """
 
@@ -150,7 +156,8 @@ def _apply_rlimits(cpu_s: Optional[int], mem_mb: Optional[int]) -> None:
 def _child_main(conn: Any, inherited: List[Any], campaign: Any,
                 profiles: Mapping[str, Any], rlimit_cpu: Optional[int],
                 rlimit_mem: Optional[int], heartbeat_every: float) -> None:
-    """Forked worker: recv task names, run profiles, send result dicts.
+    """Forked worker: recv task names (with the parent's committed
+    blacklist confirmations), run profiles, send result dicts.
 
     ``campaign`` and ``profiles`` arrive as Process args, which the fork
     context hands over by inheritance, never by pickling — so each
@@ -194,6 +201,7 @@ def _child_main(conn: Any, inherited: List[Any], campaign: Any,
         name, delivery = msg["task"], msg["delivery"]
         if plan is not None and plan.worker_crash_decision(name, delivery):
             os._exit(INJECTED_CRASH_EXIT)
+        campaign.tracker.merge(msg["confirmations"])
         try:
             outcome = campaign._run_test_profile(profiles[name],
                                                  checkpoint=None)
@@ -389,7 +397,9 @@ class Supervisor:
                 break
             name, delivery = item
             try:
-                worker.conn.send({"task": name, "delivery": delivery})
+                worker.conn.send({"task": name, "delivery": delivery,
+                                  "confirmations":
+                                      self.ledger.confirmations()})
             except OSError:
                 self.ledger.putback(name, delivery)
                 self._worker_died(worker)

@@ -55,9 +55,11 @@ class TestCostModel:
                          * SINGLETON_COST) // 100
             assert prediction.predicted_executions \
                 == prediction.pool_runs + surcharge
-            assert prediction.predicted_cache_hits == 0  # cache off
+            assert prediction.predicted_cache_hits \
+                == (surcharge * CACHE_HIT_PCT) // 100  # cache always on
             assert prediction.effective_executions \
-                == prediction.predicted_executions
+                == prediction.predicted_executions \
+                - prediction.predicted_cache_hits
 
     def test_cache_discount_prices_hits(self):
         cached = campaign(exec_cache=True)
@@ -69,6 +71,20 @@ class TestCostModel:
                 == (surcharge * CACHE_HIT_PCT) // 100
             assert prediction.effective_executions \
                 <= prediction.predicted_executions
+
+    def test_prediction_follows_the_campaigns_cache_decision(self, tmp_path):
+        """The cost model prices hits exactly when the campaign builds a
+        cache: a store-backed run does even on the uncached reference."""
+        reference = campaign(exec_cache=False)
+        stored = campaign(exec_cache=False, store_path=str(tmp_path))
+        assert not reference.uses_cache and stored.uses_cache
+        for profile in usable_profiles(reference):
+            assert CostModel(reference).predict(profile) \
+                .predicted_cache_hits == 0
+            assert CostModel(stored).predict(profile) \
+                == CostModel(campaign()).predict(profile)
+        assert any(CostModel(stored).predict(p).predicted_cache_hits > 0
+                   for p in usable_profiles(stored))
 
     def test_lpt_orders_heaviest_first(self):
         camp = campaign()

@@ -29,7 +29,7 @@ from repro.core.observe import Observation
 from repro.core.orchestrator import Campaign, CampaignConfig, ProfileOutcome
 from repro.core.prerun import prerun_corpus
 from repro.core.report import app_report_to_dict
-from repro.core.runner import WORKER_CRASH
+from repro.core.runner import CONFIRMED_UNSAFE, WORKER_CRASH
 from repro.core.tracelog import TraceLog
 from synthetic_app import SYNTH_REGISTRY, two_service_test
 from test_orchestrator import synthetic_campaign
@@ -277,6 +277,34 @@ def deliver(coordinator, conn, task):
             "outcome": parallel.profile_outcome_to_dict(ProfileOutcome())})
 
 
+def confirming_outcome(profiles):
+    """(test name, outcome) of the corpus's two-service profile run on a
+    campaign of its own: it confirms synth.mode and synth.level unsafe."""
+    name = two_service_test().full_name
+    profile = next(p for p in profiles if p.test.full_name == name)
+    outcome = synthetic_campaign(config=decoupled_config()) \
+        ._run_profile_contained(profile, None)
+    assert {param for result in outcome.results
+            if result.verdict == CONFIRMED_UNSAFE
+            for param in result.instance.params} \
+        == {"synth.mode", "synth.level"}
+    return name, outcome
+
+
+class _ScriptedTransport:
+    """Replies from a script; records what the worker sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def recv(self, timeout=None):
+        return self.replies.pop(0)
+
+
 class TestCoordinatorProtocol:
     def test_first_contact_hello_gets_welcome_with_settings(self):
         campaign, coordinator, _ = make_coordinator()
@@ -419,6 +447,47 @@ class TestCoordinatorProtocol:
         with coordinator.cond:
             coordinator._police_locked(time.monotonic(), time.monotonic())
         assert coordinator.stats.heartbeat_expiries == 0
+
+    def test_lease_after_a_commit_carries_its_confirmations(self):
+        campaign, coordinator, profiles = make_coordinator()
+        conn, _ = join(coordinator)
+        assert fetch(coordinator, conn)["confirmations"] == {}
+        name, outcome = confirming_outcome(profiles)
+        with coordinator.lock:
+            coordinator.ledger.commit(name, outcome)
+        lease = fetch(coordinator, conn)
+        assert lease["kind"] == "lease"
+        assert lease["confirmations"] \
+            == {"synth.level": [name], "synth.mode": [name]}
+
+    def test_worker_merges_lease_confirmations_before_running(self):
+        """The remote worker's tracker never sees coordinator commits
+        except through the lease: with both unsafe parameters already
+        confirmed upstream (threshold 1), it must not test either."""
+        worker = synthetic_campaign(config=CampaignConfig(
+            blacklist_threshold=1))
+        profiles = [p for p in prerun_corpus(worker.tests) if p.usable]
+        name = two_service_test().full_name
+        confirmed = {"synth.level": ["synth::TestSynth.testUpstream"],
+                     "synth.mode": ["synth::TestSynth.testUpstream"]}
+        link = _ScriptedTransport([
+            {"kind": "lease", "tasks": [{"task": name, "delivery": 1}],
+             "confirmations": confirmed},
+            {"kind": "ack", "task": name},
+            {"kind": "done"}])
+        shipper = distrib._OutcomeShipper(1.0)
+        shipper.transport = link
+        verdict = distrib._serve_leases(
+            worker, link, shipper,
+            {p.test.full_name: p for p in profiles},
+            {t.full_name: t for t in worker.tests}, worker.config)
+        assert verdict == "done"
+        shipped = [m for m in link.sent if m["kind"] == "result"]
+        assert [m["task"] for m in shipped] == [name]
+        outcome = shipped[0]["outcome"]
+        assert not [r for r in outcome["results"]
+                    if r["verdict"] == CONFIRMED_UNSAFE]
+        assert outcome["pool_stats"]["blacklist_skips"] > 0
 
     def test_lease_deadline_redelivers(self):
         _, coordinator, _ = make_coordinator(dist_lease_deadline_s=5.0)

@@ -6,14 +6,16 @@ import json
 
 import pytest
 
+from repro.apps import catalog
+from repro.cli import main
 from repro.common.errors import TestFailure
 from repro.common.faults import FaultPlan, fault_seed
 from repro.core.execcache import (ORIGINAL, ExecutionCache,
                                   canonical_assignment, execution_seed,
                                   fingerprint, stable_seed)
-from repro.core.orchestrator import CampaignConfig
+from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.registry import UnitTest
-from repro.core.report import app_report_to_dict
+from repro.core.report import app_report_to_dict, findings_projection
 from repro.core.runner import RunOutcome, TestRunner
 from repro.core.testgen import (CROSS, HeteroAssignment, HomoAssignment,
                                 ParamAssignment, TestInstance)
@@ -264,7 +266,8 @@ def normalized_report(report):
 class TestCampaignEquivalence:
     @pytest.fixture(scope="class")
     def pair(self):
-        plain = synthetic_campaign().run()
+        plain = synthetic_campaign(
+            config=CampaignConfig(exec_cache=False)).run()
         cached = synthetic_campaign(
             config=CampaignConfig(exec_cache=True)).run()
         return plain, cached
@@ -308,7 +311,8 @@ class TestChaosCacheKeying:
         plan = FaultPlan.moderate(seed=7)
         tests = [two_service_test(), safe_only_test()]
         plain = synthetic_campaign(
-            tests=tests, config=CampaignConfig(fault_plan=plan)).run()
+            tests=tests, config=CampaignConfig(fault_plan=plan,
+                                               exec_cache=False)).run()
         cached = synthetic_campaign(
             tests=tests, config=CampaignConfig(fault_plan=plan,
                                                exec_cache=True)).run()
@@ -336,3 +340,74 @@ class TestCheckpointRefusesMismatchedCacheMode:
                 tests=[safe_only_test()],
                 config=CampaignConfig(checkpoint_path=path,
                                       exec_cache=False)).run()
+
+    def test_journal_written_without_the_cache_is_refused_by_default(
+            self, tmp_path):
+        """A journal from before the cache was always on carries
+        ``exec_cache: false``; the default campaign must not resume it."""
+        from repro.core.checkpoint import CheckpointError
+        path = str(tmp_path / "journal.jsonl")
+        synthetic_campaign(
+            tests=[safe_only_test()],
+            config=CampaignConfig(checkpoint_path=path,
+                                  exec_cache=False)).run()
+        with pytest.raises(CheckpointError):
+            synthetic_campaign(
+                tests=[safe_only_test()],
+                config=CampaignConfig(checkpoint_path=path)).run()
+
+
+# ---------------------------------------------------------------------------
+# the cache is always on: every entry point, real apps
+# ---------------------------------------------------------------------------
+def app_campaign(app, **config_kwargs):
+    spec = catalog.spec_for(app)
+    return Campaign(app=app, registry=spec.registry,
+                    dependency_rules=spec.dependency_rules,
+                    config=CampaignConfig(**config_kwargs))
+
+
+def _yarn_via_config(tmp_path):
+    return app_report_to_dict(app_campaign("yarn").run())
+
+
+def _yarn_via_cli(tmp_path):
+    path = str(tmp_path / "yarn.json")
+    assert main(["campaign", "yarn", "--json", path]) == 0
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _yarn_via_serve(tmp_path):
+    from test_service import LiveDaemon
+    live = LiveDaemon(tmp_path, store=False)
+    try:
+        job = live.submit({"app": "yarn", "store": False})
+        live.wait_done(job["id"])
+        return live.get_json("/v1/campaigns/%s/report" % job["id"])
+    finally:
+        live.close()
+
+
+@pytest.mark.parametrize("entry_point", [_yarn_via_config, _yarn_via_cli,
+                                         _yarn_via_serve],
+                         ids=["config", "cli", "serve"])
+def test_default_entry_points_use_the_cache(entry_point, tmp_path, capsys):
+    """No flag, no spec key: ``CampaignConfig()``, ``repro campaign`` and a
+    serve spec all run with the execution cache and report its hits."""
+    record = entry_point(tmp_path)
+    assert record["exec_cache"]["enabled"] is True
+    assert record["exec_cache"]["hits"] > 0
+
+
+@pytest.mark.parametrize("app", ["flink", "yarn", "mapreduce", "hbase"])
+def test_real_app_findings_identical_to_uncached_reference(app):
+    """Cache soundness on the real substrates at the default blacklist
+    threshold: the default campaign and the uncached reference agree on
+    everything but the execution counters."""
+    default = app_campaign(app).run()
+    reference = app_campaign(app, exec_cache=False).run()
+    assert findings_projection(app_report_to_dict(default)) \
+        == findings_projection(app_report_to_dict(reference))
+    assert normalized_report(default) == normalized_report(reference)
+    assert default.executions < reference.executions

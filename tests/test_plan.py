@@ -253,7 +253,7 @@ class TestProfileKey:
     def test_findings_neutral_settings_do_not_shift_the_key(self):
         profile = prerun_test(exchange_test())
         plain = campaign([])
-        flipped = campaign([], store="unused", exec_cache=True,
+        flipped = campaign([], store="unused", exec_cache=False,
                            incremental=True)
         assert profile_key(plain, profile) == profile_key(flipped, profile)
 

@@ -15,10 +15,14 @@ import threading
 import pytest
 
 from repro.common.faults import FaultPlan
+from repro.core import parallel
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.orchestrator import Campaign, CampaignCancelled, CampaignConfig
+from repro.core.prerun import prerun_test
 from repro.core.report import app_report_to_dict
 from repro.core.reportmd import app_report_markdown
+from repro.core.runner import CONFIRMED_UNSAFE
+from repro.core.supervise import IDLE, Supervisor, _Worker
 from synthetic_app import (SYNTH_REGISTRY, SynthConfiguration, Service,
                            client_vs_service_test, hanging_test,
                            hard_crash_test, safe_only_test, spinning_test,
@@ -229,6 +233,76 @@ class TestConcurrentSupervisors:
             for thread in threads:
                 thread.join()
             assert together == alone
+
+
+# ---------------------------------------------------------------------------
+# dispatch-time blacklist: children see commits made after their fork
+# ---------------------------------------------------------------------------
+def confirming_outcome():
+    """(test name, outcome) of a finished profile that confirms synth.mode
+    and synth.level unsafe, run on a campaign of its own so no other
+    tracker has seen it."""
+    source = campaign([two_service_test(name="TestSynth.testEarlier")],
+                      workers=1)
+    profile = prerun_test(source.tests[0])
+    outcome = source._run_profile_contained(profile, None)
+    assert {param for result in outcome.results
+            if result.verdict == CONFIRMED_UNSAFE
+            for param in result.instance.params} \
+        == {"synth.mode", "synth.level"}
+    return profile.test.full_name, outcome
+
+
+class _RecordingConn:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+class TestDispatchTimeBlacklist:
+    def test_next_dispatch_carries_committed_confirmations(self):
+        camp = campaign([two_service_test()], blacklist_threshold=1)
+        profile = prerun_test(camp.tests[0])
+        supervisor = Supervisor(camp, [profile], None,
+                                {t.full_name: t for t in camp.tests})
+        worker = _Worker(0)
+        worker.state, worker.conn = IDLE, _RecordingConn()
+        supervisor.workers.append(worker)
+        name, outcome = confirming_outcome()
+        parallel.commit_outcome(camp, None, name, outcome)
+        supervisor._dispatch()
+        assert worker.conn.sent == [{
+            "task": profile.test.full_name, "delivery": 1,
+            "confirmations": {"synth.level": [name], "synth.mode": [name]}}]
+
+    def test_child_applies_confirmations_committed_after_its_fork(
+            self, monkeypatch):
+        """The child is forked with an empty tracker; the confirmation is
+        committed in the parent only afterwards, so just the task message
+        can tell the child that both unsafe parameters are blacklisted."""
+        camp = campaign([two_service_test()], blacklist_threshold=1)
+        profile = prerun_test(camp.tests[0])
+        name, outcome = confirming_outcome()
+        spawn = Supervisor._spawn
+
+        def spawn_then_commit(self):
+            worker = spawn(self)
+            if not camp.tracker.blacklisted:
+                parallel.commit_outcome(camp, None, name, outcome)
+            return worker
+
+        monkeypatch.setattr(Supervisor, "_spawn", spawn_then_commit)
+        outcomes = Supervisor(camp, [profile], None,
+                              {t.full_name: t for t in camp.tests}).run()
+        result = outcomes[profile.test.full_name]
+        assert not result.error
+        # A stale child would confirm both parameters itself (and only
+        # then skip them); this one never tests either.
+        assert not [r for r in result.results
+                    if r.verdict == CONFIRMED_UNSAFE]
+        assert result.stats.blacklist_skips > 0
 
 
 # ---------------------------------------------------------------------------
