@@ -220,8 +220,9 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                         default="lpt",
                         help="dispatch order for --workers > 1: "
                              "longest-predicted-first from the cost model "
-                             "(default) or legacy catalog order; findings "
-                             "are identical either way")
+                             "(default) or legacy catalog order; the "
+                             "flagged parameters match either way, full "
+                             "reports only with profiles decoupled")
     parser.add_argument("--exec-cache", action="store_true",
                         help="accepted for compatibility; does nothing: "
                              "executions are always memoized in a "

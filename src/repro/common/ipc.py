@@ -208,11 +208,11 @@ class IpcComponent:
         # cross-node sharing the paper observed in Hadoop.
         self._own_conf: Optional[Configuration] = conf_factory() if shared else None
         self.cross_check_failures = 0
-        #: caller-conf id -> (caller conf, validity key): a *passed*
-        #: cross-check memoised so hot RPC loops skip the 8 ``get``\ s.
-        #: The stored conf reference both pins the object (id stays
+        #: caller-conf id -> validity key of a *passed* cross-check,
+        #: memoised so hot RPC loops skip the 8 ``get``\ s.  The key
+        #: holds both confs and the agent, which pins them (ids stay
         #: unique) and lets a hit verify identity, not just id equality.
-        self._check_memo: Dict[int, Tuple[Configuration, Tuple[Any, ...]]] = {}
+        self._check_memo: Dict[int, Tuple[Any, ...]] = {}
 
     def _own(self, caller_conf: Configuration) -> Configuration:
         if not self.shared or self._own_conf is None:
@@ -226,20 +226,23 @@ class IpcComponent:
         # Memoise passed checks: the outcome depends only on the two
         # confs' contents and the agent's injection mapping, so a repeat
         # check with unchanged mutation counters and ownership epoch must
-        # pass again.  Skipped while the agent records usage (the pre-run
-        # needs every ``get`` observed) and with the fast path off.
-        # Failures are never memoised — each failing call must raise and
-        # count, exactly like the unmemoised loop.
+        # pass again.  Under a recording agent a hit counts the 8 reads it
+        # skips, so the pre-run and the audit see exactly the read-site
+        # counts of the unmemoised loop.  Skipped with the fast path off
+        # and for a recording agent whose resolution is per call (the
+        # thread-ownership ablation counts every resolution).  Failures
+        # are never memoised — each failing call must raise and count,
+        # exactly like the unmemoised loop.
         agent = current_agent()
-        memo_key = None
-        if perf.FAST_PATH and not getattr(agent, "record_usage", False):
-            memo_key = (id(own_conf),
-                        getattr(caller_conf, "_mutations", -1),
-                        getattr(own_conf, "_mutations", -1),
-                        id(agent), getattr(agent, "ownership_epoch", 0))
-            hit = self._check_memo.get(id(caller_conf))
-            if (hit is not None and hit[0] is caller_conf
-                    and hit[1] == memo_key):
+        record = agent.record_usage
+        memoize = perf.FAST_PATH and (agent.opens_views or not record)
+        if memoize:
+            key = (caller_conf, caller_conf._mutations, own_conf,
+                   own_conf._mutations, agent, agent.ownership_epoch)
+            if self._check_memo.get(id(caller_conf)) == key:
+                if record:
+                    agent.count_reads((caller_conf, own_conf),
+                                      IPC_SHARED_PARAMS)
                 return
         for param in IPC_SHARED_PARAMS:
             external = caller_conf.get(param)
@@ -250,5 +253,5 @@ class IpcComponent:
                     "IPC connection parameter %s changed mid-flight: "
                     "connection built with %r, reused with %r"
                     % (param, internal, external))
-        if memo_key is not None:
-            self._check_memo[id(caller_conf)] = (caller_conf, memo_key)
+        if memoize:
+            self._check_memo[id(caller_conf)] = key

@@ -195,6 +195,10 @@ class _Probe:
     timed_out: bool
 
 
+_BASE_RANDOM = random.Random.random
+_BASE_GETRANDBITS = random.Random.getrandbits
+
+
 class _CountingRandom(random.Random):
     """Counts every draw.  Unlike ``runner._TrackedRandom`` (which only
     needs a used/unused bit and rebinds to the C implementation under
@@ -205,13 +209,15 @@ class _CountingRandom(random.Random):
         super().__init__(seed)
         self.draws = 0
 
+    # Unbound base-class calls instead of ``super()``: an audit makes
+    # millions of draws, and the super() lookup is paid on each one.
     def random(self) -> float:
         self.draws += 1
-        return super().random()
+        return _BASE_RANDOM(self)
 
     def getrandbits(self, k: int) -> int:
         self.draws += 1
-        return super().getrandbits(k)
+        return _BASE_GETRANDBITS(self, k)
 
 
 class WiringAuditor:

@@ -58,9 +58,10 @@ UNCERTAIN = "__uncertain__"
 #: Sentinel returned by ``intercept_get`` when no value is injected.
 NO_OVERRIDE = object()
 
-#: Distinct miss marker for the per-(conf, name) get memo — NO_OVERRIDE
-#: itself is a legitimate memoised value.
-_MEMO_MISS = object()
+#: Serialises publishing and clearing ``conf._view``, so an agent holds a
+#: registration in ``_views`` exactly while the conf publishes its view,
+#: even when sessions on several threads share a conf object.
+_VIEW_LOCK = threading.Lock()
 
 
 @dataclass
@@ -84,6 +85,11 @@ class NullAgent:
     """
 
     active = False
+    record_usage = False
+    ownership_epoch = 0
+    #: Never opens read views: outside a session there is nothing to
+    #: resolve, so every ``get`` is already a plain property lookup.
+    opens_views = False
 
     def start_init(self, node: Any, node_type: str) -> None:
         pass
@@ -141,9 +147,10 @@ class ConfAgent:
 
     active = True
 
-    #: Whether intercept_get may memoise its decision per (conf, name).
-    #: Subclasses with call-dependent resolution must disable this.
-    _memo_gets = True
+    #: Whether this agent may answer repeat reads from a per-conf read
+    #: view (see :meth:`open_read`).  Subclasses with call-dependent
+    #: resolution must disable this.
+    opens_views = True
 
     def __init__(self, assignment: Optional[Any] = None,
                  record_usage: bool = False) -> None:
@@ -172,7 +179,8 @@ class ConfAgent:
         #: so the execution cache's homogeneous default-value collapse
         #: must exempt these (see repro.core.execcache).
         self.set_params: Set[str] = set()
-        #: count of get() calls answered with an injected value.
+        #: distinct (conf, name) reads answered by injection: a repeat
+        #: read answered from the conf's read view is not counted again.
         self.injected_reads = 0
         #: Bumped on every conf-ownership mutation; external memos (e.g.
         #: the IPC cross-check) fold it into their keys so any remapping
@@ -188,14 +196,12 @@ class ConfAgent:
         #: hottest lookup in the system (once per intercepted get).  Every
         #: ownership mutation below pops the affected ids.
         self._resolve_cache: Dict[int, Tuple[str, int]] = {}
-        #: conf id -> {param name -> injected value or NO_OVERRIDE}: the
-        #: full injection decision per (conf, name).  Exact because the
-        #: assignment is immutable for the agent's lifetime and the
-        #: decision otherwise depends only on the conf's owner — every
-        #: ownership mutation invalidates through _forget_conf.  Not used
-        #: while recording usage (pre-run) nor by ThreadOwnershipAgent,
-        #: whose resolution is thread-dependent.
-        self._get_memo: Dict[int, Dict[str, Any]] = {}
+        #: conf id -> (conf, view entries, owner site) for every read
+        #: view this agent opened.  The conf publishes the entries as
+        #: ``conf._view``; the owner site is where their counted hits are
+        #: folded into ``read_sites`` when the view is dropped.
+        self._views: Dict[int, Tuple[Any, Dict[str, list],
+                                     Tuple[str, int]]] = {}
 
     # ------------------------------------------------------------------
     # session scoping
@@ -205,6 +211,8 @@ class ConfAgent:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
+        for conf_id in list(self._views):
+            self.drop_view(conf_id)
         _current_agent.reset(self._token)
         self._token = None
 
@@ -352,17 +360,65 @@ class ConfAgent:
         """Drop every per-conf memo; called on any ownership mutation."""
         self.ownership_epoch += 1
         self._resolve_cache.pop(conf_id, None)
-        self._get_memo.pop(conf_id, None)
+        self.drop_view(conf_id)
+
+    # ------------------------------------------------------------------
+    # per-conf read views (the fast path of Configuration.get)
+    # ------------------------------------------------------------------
+    def open_read(self, conf: Any, name: str, value: Any) -> None:
+        """Cache ``conf``'s fully resolved ``value`` for ``name``.
+
+        Called by ``Configuration.get`` after a first read took the full
+        path through :meth:`intercept_get`, which already recorded usage
+        and one read-site count.  Repeat reads then hit the conf's view
+        (name -> ``[value, hits]``) and only bump ``hits``.  Exact
+        because the assignment is immutable for the agent's lifetime,
+        and everything else the value depends on drops the view first:
+        ownership changes (:meth:`_forget_conf`), writes to the conf
+        (``set``/``raw_set``/``unset``) and the session's end.  A view
+        belongs to one agent; another agent reading the same conf keeps
+        taking the full path and never takes the view over.
+        """
+        view = conf._view
+        if view is None:
+            site = self._resolve(conf)
+            with _VIEW_LOCK:
+                if conf._view is None:
+                    entries: Dict[str, list] = {}
+                    conf._view = (self, entries)
+                    self._views[id(conf)] = (conf, entries, site)
+                view = conf._view
+        if view[0] is self:
+            view[1][name] = [value, 0]
+
+    def drop_view(self, conf_id: int) -> None:
+        """Close this agent's read view of ``conf_id``, folding its
+        counted hits into ``read_sites`` under the owner it was opened
+        for."""
+        opened = self._views.pop(conf_id, None)
+        if opened is None:
+            return
+        conf, entries, site = opened
+        with _VIEW_LOCK:
+            conf._view = None
+        if self.record_usage:
+            counts = self.read_sites[site]
+            for name, (_, hits) in entries.items():
+                if hits:
+                    counts[name] += hits
+
+    def count_reads(self, confs: Tuple[Any, ...],
+                    names: Tuple[str, ...]) -> None:
+        """Count one more ``get`` of each of ``names`` through each of
+        ``confs``, for a caller that memoised the result of reads this
+        agent already recorded (so every read-site key exists)."""
+        read_sites = self.read_sites
+        for conf in confs:
+            counts = read_sites[self._resolve(conf)]
+            for name in names:
+                counts[name] += 1
 
     def intercept_get(self, conf: Any, name: str) -> Any:
-        memoize = (perf.FAST_PATH and self._memo_gets
-                   and not self.record_usage)
-        if memoize:
-            memo = self._get_memo.get(id(conf))
-            if memo is not None:
-                value = memo.get(name, _MEMO_MISS)
-                if value is not _MEMO_MISS:
-                    return value
         node_type, node_index = self._resolve(conf)
         if self.record_usage:
             self.usage.setdefault(node_type, set()).add(name)
@@ -376,8 +432,6 @@ class ConfAgent:
             if value is not NO_OVERRIDE:
                 self.injected_reads += 1
                 result = value
-        if memoize:
-            self._get_memo.setdefault(id(conf), {})[name] = result
         return result
 
     def intercept_set(self, conf: Any, name: str, value: Any) -> None:
@@ -428,9 +482,9 @@ class ThreadOwnershipAgent(ConfAgent):
     """
 
     #: Resolution depends on the calling thread and every call counts a
-    #: potential misattribution — per-(conf, name) memoisation would
-    #: change both, so it stays off.
-    _memo_gets = False
+    #: potential misattribution — answering repeat reads from a per-conf
+    #: view would change both, so it never opens one.
+    opens_views = False
 
     def __init__(self, assignment: Optional[Any] = None,
                  record_usage: bool = False) -> None:

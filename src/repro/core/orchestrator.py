@@ -183,8 +183,11 @@ class CampaignConfig:
     #: dispatch order for ``workers > 1``: "lpt" hands profiles to the
     #: pool longest-predicted-first (see repro.core.costmodel), "catalog"
     #: keeps corpus order.  Results are folded in catalog order either
-    #: way, so findings and deterministic metrics are identical; only
-    #: wall-clock makespan changes.  Ignored at workers == 1.
+    #: way.  With profiles decoupled (a ``blacklist_threshold`` no test
+    #: count reaches) reports are byte-identical under both orders.  At
+    #: the default threshold only the flagged parameter sets match: the
+    #: order decides which tests reach the threshold first, so failing
+    #: tests, execution counts and metrics vary.  Ignored at workers == 1.
     schedule: str = "lpt"
     #: wall-clock seconds a worker may spend on one profile before the
     #: supervisor SIGKILLs it and quarantines the profile (None = no

@@ -14,6 +14,7 @@ The headline invariants:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -233,7 +234,34 @@ def regenerate_golden_files():
         handle.write(section)
 
 
+def audit_digest(stats):
+    """sha256 over the full audit output: the stats block plus every
+    finding with its read sites, probe count and detail."""
+    payload = [stats.to_dict(), [f.to_dict() for f in stats.findings]]
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def regenerate_audit_digests():
+    """import test_audit; test_audit.regenerate_audit_digests()"""
+    digests = {app: audit_digest(audit_app(app)) for app in catalog.APP_NAMES}
+    with open(os.path.join(GOLDEN_DIR, "audit_digests.json"), "w") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 class TestGolden:
+    @pytest.mark.parametrize("app", catalog.APP_NAMES)
+    def test_audit_output_matches_golden_digest(self, audited, app):
+        """The read path's fast paths (per-conf read view, IPC
+        cross-check memo) must not move a single verdict, probe count,
+        detail or read-site count."""
+        with open(os.path.join(GOLDEN_DIR, "audit_digests.json")) as handle:
+            expected = json.load(handle)
+        assert audit_digest(audited(app)) == expected[app], (
+            "regenerate with 'import test_audit; "
+            "test_audit.regenerate_audit_digests()'")
+
     def test_wiring_audit_section_matches_golden(self):
         report = flink_campaign(audit=True)
         section = audit_markdown_section(app_report_markdown(report))
@@ -261,11 +289,17 @@ class TestCli:
         assert "1 parameters" in out and target in out
 
     def test_audit_json(self, tmp_path, capsys):
+        # Scoped to the two fixtures: the full HDFS CLI audit runs in the
+        # CI audit job, the verdict engine's full sweep in TestGolden.
         path = str(tmp_path / "audit.json")
-        assert main(["audit", "hdfs", "--json", path]) == 0
+        argv = ["audit", "hdfs", "--json", path]
+        for param in sorted(FIXTURES["hdfs"]):
+            argv += ["--param", param]
+        assert main(argv) == 0
         capsys.readouterr()
         with open(path) as handle:
             record = json.load(handle)
+        assert sorted(record["verdicts"]) == sorted(FIXTURES["hdfs"])
         for param, verdict in FIXTURES["hdfs"].items():
             assert record["verdicts"][param] == verdict
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.common.configuration import Configuration, ref_to_clone
@@ -114,11 +117,16 @@ class TestRules:
             assert agent._resolve(outer.own_conf) == ("Outer", 0)
 
 
+def alpha_assignment():
+    """Servers see x.alpha=100, everyone else 200."""
+    return HeteroAssignment((ParamAssignment(
+        param="x.alpha", group="Server", group_values=(100,),
+        other_value=200),))
+
+
 class TestInjection:
     def _assignment(self):
-        return HeteroAssignment((ParamAssignment(
-            param="x.alpha", group="Server", group_values=(100,),
-            other_value=200),))
+        return alpha_assignment()
 
     def test_node_sees_group_value(self):
         cls = make_conf_class()
@@ -217,6 +225,122 @@ class TestPreRunRecording:
             conf = cls()
             conf.get("x.alpha")
             assert agent.usage == {}
+
+
+class TestReadViews:
+    """Repeat reads are answered from a per-conf view owned by one agent;
+    every input the resolved value depends on must drop the view."""
+
+    def test_repeat_reads_are_counted_into_read_sites(self):
+        cls = make_conf_class()
+        with ConfAgent(record_usage=True) as agent:
+            shared = cls()
+            node = FakeNode(shared)
+            for _ in range(4):
+                node.conf.get("x.beta")
+            assert node.conf._view[0] is agent
+        assert node.conf._view is None
+        assert agent.read_sites[("Server", 0)] == {"x.beta": 4}
+
+    def test_write_drops_the_view(self):
+        cls = make_conf_class()
+        with ConfAgent():
+            conf = cls()
+            assert conf.get("x.beta") == 2
+            conf.set("x.beta", 7)
+            assert conf.get("x.beta") == 7
+            conf.unset("x.beta")
+            assert conf.get("x.beta") == 2
+            conf.raw_set("x.beta", 9)
+            assert conf.get("x.beta") == 9
+
+    def test_ownership_change_drops_the_view(self):
+        """An uncertain conf is never injected; once Rule 2 moves it to
+        the unit test, the next read must see the unit test's value."""
+        cls = make_conf_class()
+        with ConfAgent(assignment=alpha_assignment(),
+                       record_usage=True) as agent:
+            FakeNode(cls())
+            late = cls()
+            assert late.get("x.alpha") == 1
+            assert late.get("x.alpha") == 1
+            FakeNode(late)
+            assert late.get("x.alpha") == 200
+            assert late.get("x.alpha") == 200
+        assert agent.read_sites[(UNCERTAIN, 0)]["x.alpha"] == 2
+        assert agent.read_sites[(UNIT_TEST, 0)]["x.alpha"] == 2
+
+    def test_default_argument_is_never_cached(self):
+        cls = make_conf_class()
+        with ConfAgent():
+            conf = cls()
+            assert conf.get("x.unknown", 5) == 5
+            assert conf.get("x.unknown", 6) == 6
+            assert conf._view is None
+
+    def test_another_agent_never_takes_the_view_over(self):
+        cls = make_conf_class()
+        with ConfAgent(assignment=alpha_assignment(),
+                       record_usage=True) as outer:
+            shared = cls()
+            node = FakeNode(shared)
+            assert node.conf.get("x.alpha") == 100
+            with ConfAgent(record_usage=True) as inner:
+                # a conf the inner session does not know is uncertain to
+                # it; it must resolve on its own, not from outer's view
+                assert node.conf.get("x.alpha") == 1
+                assert node.conf.get("x.alpha") == 1
+                assert node.conf._view[0] is outer
+            assert node.conf.get("x.alpha") == 100
+        assert inner.read_sites == {(UNCERTAIN, 0): {"x.alpha": 2}}
+        assert outer.read_sites[("Server", 0)] == {"x.alpha": 2}
+
+    def test_sessions_on_threads_sharing_a_conf_count_exactly(self):
+        """Sessions on several threads read one global conf (uncertain to
+        all of them) and race to open views on it; each must still count
+        every one of its own reads exactly once."""
+        shared = make_conf_class()()
+        sessions, reads = 100, 10
+        counts, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(sessions):
+                    with ConfAgent(record_usage=True) as agent:
+                        for _ in range(reads):
+                            shared.get("x.alpha")
+                    counts.append(agent.read_sites)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(counts) == 8 * sessions
+        assert all(c == {(UNCERTAIN, 0): {"x.alpha": reads}} for c in counts)
+        assert shared._view is None
+
+    def test_thread_ownership_agent_never_opens_a_view(self):
+        cls = make_conf_class()
+        with ThreadOwnershipAgent():
+            conf = cls()
+            conf.get("x.alpha")
+            conf.get("x.alpha")
+            assert conf._view is None
+
+    def test_no_view_outside_sessions(self):
+        conf = make_conf_class()()
+        conf.get("x.alpha")
+        assert conf._view is None
 
 
 class TestScoping:

@@ -11,7 +11,7 @@ from repro.common.ipc import (IPC_SHARED_PARAMS, IpcComponent, RpcClient,
                               RpcServer, ipc_sharing_enabled, set_ipc_sharing)
 from repro.common.params import DURATION_MS, ENUM, INT, ParamRegistry
 from repro.common.simulation import Simulator
-from repro.core.confagent import ConfAgent
+from repro.core.confagent import UNIT_TEST, ConfAgent
 
 
 def make_conf_class():
@@ -211,12 +211,35 @@ class TestCrossCheckMemo:
             assert ipc.cross_check_failures == expected
         assert not ipc._check_memo
 
-    def test_record_usage_agent_disables_memo(self, conf_class):
-        ipc = IpcComponent(conf_class, shared=True)
-        caller = conf_class()
-        with ConfAgent(record_usage=True):
-            ipc.check_connection_params(caller)
-            assert not ipc._check_memo
+    def test_record_usage_memo_replays_exact_read_counts(self, conf_class):
+        """Under a recording agent the memo stays on, and every hit counts
+        the 8 reads it skipped: read sites (key order included) and usage
+        equal the unmemoised run's."""
+        def run(fast):
+            perf.set_fast_path(fast)
+            with ConfAgent(record_usage=True) as agent:
+                caller = conf_class()  # Rule 1.2: the unit test's conf
+                node = object()
+                agent.start_init(node, "Server")
+                try:  # Rule 1.1: the component conf belongs to the node
+                    ipc = IpcComponent(conf_class, shared=True)
+                finally:
+                    agent.stop_init()
+                for _ in range(5):
+                    ipc.check_connection_params(caller)
+                    caller.get("ipc.client.kill.max")
+            sites = [(site, list(counts.items()))
+                     for site, counts in agent.read_sites.items()]
+            return sites, agent.usage, ipc._check_memo
+
+        slow_sites, slow_usage, slow_memo = run(False)
+        fast_sites, fast_usage, fast_memo = run(True)
+        assert not slow_memo and fast_memo
+        assert fast_sites == slow_sites
+        assert fast_usage == slow_usage
+        counts = {site: dict(c) for site, c in fast_sites}
+        assert counts[(UNIT_TEST, 0)]["ipc.client.kill.max"] == 10
+        assert counts[("Server", 0)]["ipc.client.kill.max"] == 5
 
     def test_agent_ownership_change_invalidates_memo(self, conf_class):
         ipc = IpcComponent(conf_class, shared=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.perf as perf
+from repro.apps import catalog
 from repro.core.confagent import UNIT_TEST
 from repro.core.prerun import PreRunSummary, prerun_corpus, prerun_test
 from synthetic_app import (broken_baseline_test, client_vs_service_test,
@@ -64,3 +66,33 @@ class TestSummary:
         assert summary.tests_without_nodes == 1
         assert summary.tests_broken_at_baseline == 1
         assert summary.tests_with_uncertain_confs == 1
+
+
+class TestFastPathEquivalence:
+    @staticmethod
+    def snapshot(profiles):
+        """Everything the pre-run records per test, with the insertion
+        order of every dict kept (``params_by_group`` key order and
+        ``read_sites`` key order at both levels)."""
+        return [(p.test.full_name, list(p.groups.items()),
+                 [(site, list(counts.items()))
+                  for site, counts in p.read_sites.items()],
+                 [(group, sorted(params))
+                  for group, params in p.params_by_group.items()],
+                 sorted(p.uncertain_params), sorted(p.explicit_sets),
+                 p.baseline_error)
+                for p in profiles]
+
+    @pytest.mark.parametrize("app", catalog.APP_NAMES)
+    def test_profiles_identical_with_fast_path_off(self, corpus, app):
+        """The read views and the IPC cross-check memo stay on while the
+        pre-run records; every count must equal the unmemoised path's."""
+        tests = corpus.for_app(app)
+        previous = perf.set_fast_path(False)
+        try:
+            reference = self.snapshot(prerun_corpus(tests))
+            perf.set_fast_path(True)
+            fast = self.snapshot(prerun_corpus(tests))
+        finally:
+            perf.set_fast_path(previous)
+        assert fast == reference
