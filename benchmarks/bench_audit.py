@@ -2,7 +2,8 @@
 
 The audit's pitch is "cheap to build, cheap to run": differential
 probes reuse the exec-cache canonical forms, so most of the sweep
-collapses onto the baseline or hits the probe memo.  The bench audits
+collapses onto the baseline or hits the probe memo, and a probe whose
+config reads would be answered like one already run is replayed.  The bench audits
 every app, prints the per-app probe economy, and gates on the two
 headline invariants — planted fixtures flagged, zero false positives
 against each app's evaluation ground truth — plus a sanity floor on
@@ -28,11 +29,12 @@ def test_audit_probe_economy(benchmark):
     for app, stats in sorted(results.items()):
         rows.append([app, stats.params_total, stats.wired, stats.unread,
                      stats.inert, stats.probe_executions,
-                     stats.probe_cache_hits, stats.probes_collapsed,
+                     stats.probe_replays, stats.probe_cache_hits,
+                     stats.probes_collapsed,
                      "%.1f" % (stats.machine_time_s / 3600)])
     print("\n" + render_table(
         ["app", "params", "WIRED", "UNREAD", "INERT", "probes",
-         "memo hits", "collapsed", "audit hours"], rows))
+         "replays", "memo hits", "collapsed", "audit hours"], rows))
 
     for app, stats in results.items():
         spec = catalog.spec_for(app)

@@ -820,10 +820,12 @@ def main(argv: Optional[List[str]] = None) -> int:
               "%d WIRED, %d UNREAD, %d READ_BUT_INERT"
               % (args.app, time.time() - started, stats.params_total,
                  stats.wired, stats.unread, stats.inert))
-        print("probe economy: %d executions, %d memo hits, %d collapsed "
-              "onto the baseline (%.1f modelled machine hours)\n"
-              % (stats.probe_executions, stats.probe_cache_hits,
-                 stats.probes_collapsed, stats.machine_time_s / 3600))
+        print("probe economy: %d executions, %d replays, %d memo hits, "
+              "%d collapsed onto the baseline (%.1f modelled machine "
+              "hours)\n"
+              % (stats.probe_executions, stats.probe_replays,
+                 stats.probe_cache_hits, stats.probes_collapsed,
+                 stats.machine_time_s / 3600))
         shown = stats.findings if args.all else stats.flagged()
         rows = [[f.param,
                  f.verdict + (" (exempt)" if f.exempt else ""),

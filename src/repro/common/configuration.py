@@ -90,6 +90,16 @@ class Configuration:
             agent.open_read(self, name, value)
         return value
 
+    def uninjected(self, name: str) -> Any:
+        """What ``get`` answers for ``name`` without injection: the
+        explicit value, else the registry default, else ``NO_OVERRIDE``
+        (the caller's ``default`` argument, or an error)."""
+        if name in self._properties:
+            return self._properties[name]
+        if self.registry is not None and name in self.registry:
+            return self.registry.default_of(name)
+        return NO_OVERRIDE
+
     def set(self, name: str, value: Any) -> None:
         current_agent().intercept_set(self, name, value)
         self._properties[name] = value

@@ -36,6 +36,16 @@ default the test never sets) is behaviourally identical to the baseline
 by construction and is skipped outright (*collapsed*), and outcomes are
 memoized per ``(test, canonical fingerprint)`` so the homogeneous sides
 shared across strategies and parameters execute once (*cache hits*).
+A probe whose canonical form is new may still be the same execution as
+one already run: every probe of a test runs under the same seed, so it
+is a pure function of the answers its config reads get, in order.  Each
+(parameter sweep, test) keeps a :class:`_ReadTrie` of the probes run so
+far, keyed by the answers of the *watched* reads only (the swept
+parameter and every companion a sweep assignment pins; reads of other
+names are answered identically in every probe of the sweep that got
+there the same way).  A variant whose answers walk to a leaf is
+*replayed* from it instead of executed.  A probe whose reads contradict
+the trie marks its test nondeterministic: that test never replays again.
 The first divergence short-circuits the sweep.
 
 Parameters that are read only through unmappable configuration objects
@@ -55,18 +65,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.common.params import ParamDef, ParamRegistry
 from repro.common.simulation import SimTimeLimitExceeded, sim_time_limit
-from repro.core.confagent import UNCERTAIN, UNIT_TEST, ConfAgent
+from repro.core.confagent import (NO_OVERRIDE, UNCERTAIN, UNIT_TEST,
+                                  WATCH_ALL, ConfAgent, read_key)
 from repro.core.execcache import (ORIGINAL, canonical_assignment,
                                   execution_seed, fingerprint)
 from repro.core.prerun import TestProfile
-from repro.core.registry import TestContext
+from repro.core.registry import TestContext, UnitTest
 from repro.core.runner import DEFAULT_WATCHDOG_SIM_S
-from repro.core.testgen import HeteroAssignment, TestGenerator
+from repro.core.testgen import (HeteroAssignment, HomoAssignment,
+                                TestGenerator)
 
 #: audit verdicts
 WIRED = "WIRED"
@@ -138,9 +150,10 @@ class ParamAudit:
 class AuditStats:
     """Wiring-audit results for one application registry.
 
-    ``machine_time_s`` models probe cost (probe executions x run_cost_s)
-    and is kept separate from ``AppReport.machine_time_s`` so enabling
-    the audit never perturbs campaign execution accounting.
+    ``machine_time_s`` models probe cost (probe executions x run_cost_s;
+    replays cost nothing) and is kept separate from
+    ``AppReport.machine_time_s`` so enabling the audit never perturbs
+    campaign execution accounting.
     """
 
     params_total: int = 0
@@ -151,6 +164,10 @@ class AuditStats:
     #: ``audit-exempt`` tag (intentionally dormant).
     exempt_flagged: int = 0
     probe_executions: int = 0
+    #: probes answered from a read trie instead of executed.
+    probe_replays: int = 0
+    #: executed probes whose reads contradicted their read trie.
+    probe_conflicts: int = 0
     probe_cache_hits: int = 0
     probes_collapsed: int = 0
     machine_time_s: float = 0.0
@@ -177,6 +194,8 @@ class AuditStats:
             "read_but_inert": self.inert,
             "exempt_flagged": self.exempt_flagged,
             "probe_executions": self.probe_executions,
+            "probe_replays": self.probe_replays,
+            "probe_conflicts": self.probe_conflicts,
             "probe_cache_hits": self.probe_cache_hits,
             "probes_collapsed": self.probes_collapsed,
             "machine_time_s": self.machine_time_s,
@@ -193,6 +212,80 @@ class _Probe:
     ok: bool
     error_type: str
     timed_out: bool
+
+
+#: One watched read: ``(node_type, node_index, name,
+#: read_key(uninjected value))``, and the ``read_key`` of its answer.
+_Read = Tuple[Tuple[str, int, str, Any], Any]
+
+
+def _mentioned(variant: Any) -> Set[str]:
+    """Every name ``variant`` can inject."""
+    if isinstance(variant, HomoAssignment):
+        return {name for name, _ in variant.values + variant.pinned}
+    names: Set[str] = set()
+    for member in variant.assignments:
+        names.add(member.param)
+        names.update(name for name, _ in member.pinned)
+    return names
+
+
+class _ReadTrie:
+    """The probes of one test within one parameter sweep, keyed by the
+    answers their watched reads got, in order.
+
+    An internal node is ``[read, {answer: child}]``: the next watched
+    full-path read and, per answer, what follows.  A leaf is the
+    :class:`_Probe` the path ends in.  Nodes are keyed by read, never by
+    owner: two confs of one owner can hold different explicit values.
+    """
+
+    def __init__(self, watched: FrozenSet[str],
+                 baseline_reads: Sequence[_Read], baseline: _Probe) -> None:
+        self.watched = watched
+        self.root: Any = None
+        self.insert([r for r in baseline_reads if r[0][2] in watched],
+                    baseline)
+
+    def lookup(self, variant: Any) -> Optional[_Probe]:
+        """The probe ``variant`` would reproduce, or ``None``: walk the
+        trie answering each read as ``variant`` would inject it."""
+        unwatched = _mentioned(variant) - self.watched
+        if unwatched:
+            raise ValueError("variant injects unwatched parameters %s"
+                             % sorted(unwatched))
+        node = self.root
+        while isinstance(node, list):
+            (node_type, node_index, name, uninjected), edges = node
+            value = variant.value_for(node_type, node_index, name)
+            node = edges.get(uninjected if value is NO_OVERRIDE
+                             else read_key(value))
+        return node
+
+    def insert(self, reads: Sequence[_Read], probe: _Probe) -> bool:
+        """Add an executed probe.  ``False`` (nothing added) on a
+        conflict: a path that agrees on every answer so far but then
+        reads something else, ends early, or ends in another probe —
+        the test is nondeterministic."""
+        edges: Optional[Dict[Any, Any]] = None
+        node = self.root
+        position = 0
+        while node is not None and position < len(reads):
+            read, answer = reads[position]
+            if not isinstance(node, list) or node[0] != read:
+                return False
+            edges, node = node[1], node[1].get(answer)
+            position += 1
+        if node is not None:
+            return node == probe
+        tail: Any = probe
+        for read, answer in reversed(reads[position:]):
+            tail = [read, {answer: tail}]
+        if edges is None:
+            self.root = tail
+        else:
+            edges[reads[position - 1][1]] = tail
+        return True
 
 
 _BASE_RANDOM = random.Random.random
@@ -239,7 +332,13 @@ class WiringAuditor:
         self.param_allowed = param_allowed
         #: (test full name, canonical fingerprint) -> memoized probe.
         self._memo: Dict[Tuple[str, str], _Probe] = {}
+        #: test full name -> every watched read of its baseline.
+        self._baseline_reads: Dict[str, List[_Read]] = {}
+        #: tests caught nondeterministic by a read-trie conflict.
+        self._unstable: Set[str] = set()
         self.probe_executions = 0
+        self.probe_replays = 0
+        self.probe_conflicts = 0
         self.probe_cache_hits = 0
         self.probes_collapsed = 0
 
@@ -247,19 +346,47 @@ class WiringAuditor:
     # probe execution
     # ------------------------------------------------------------------
     def _probe(self, profile: TestProfile, assignment: Optional[Any],
-               canonical: Tuple[Any, ...]) -> _Probe:
+               canonical: Tuple[Any, ...],
+               trie: Optional[_ReadTrie] = None) -> _Probe:
+        """The probe of ``profile``'s test under ``assignment``: from the
+        canonical memo, else replayed from ``trie``, else executed.  The
+        baseline (``assignment`` None) runs with every name watched; its
+        reads seed the trie of every sweep over the test."""
         test = profile.test
         key = (test.full_name, fingerprint(canonical))
         memoized = self._memo.get(key)
         if memoized is not None:
             self.probe_cache_hits += 1
             return memoized
-        self.probe_executions += 1
+        if test.full_name in self._unstable:
+            trie = None
+        probe = trie.lookup(assignment) if trie is not None else None
+        if probe is not None:
+            self.probe_replays += 1
+        else:
+            self.probe_executions += 1
+            if assignment is None:
+                probe, reads = self._execute(test, None, WATCH_ALL)
+                self._baseline_reads[test.full_name] = reads
+            else:
+                probe, reads = self._execute(
+                    test, assignment,
+                    trie.watched if trie is not None else None)
+                if trie is not None and not trie.insert(reads, probe):
+                    self.probe_conflicts += 1
+                    self._unstable.add(test.full_name)
+        self._memo[key] = probe
+        return probe
+
+    def _execute(self, test: UnitTest, assignment: Optional[Any],
+                 watch: Optional[Any]) -> Tuple[_Probe, List[_Read]]:
+        """Run one probe; return it with its reads of ``watch``."""
         # Baseline and every variant share the baseline's content-derived
         # seed: the rng stream is a constant of the comparison, so any
         # fingerprint divergence is attributable to the injected values.
         seed = execution_seed(test.full_name, ORIGINAL, 0)
         agent = ConfAgent(assignment=assignment, record_usage=True)
+        agent.watch = watch
         rng = _CountingRandom(seed)
         ctx = TestContext(rng=rng, trial=seed)
         ok, error_type, error_message, timed_out = True, "", "", False
@@ -283,8 +410,7 @@ class WiringAuditor:
         )
         probe = _Probe(fingerprint=fingerprint(behaviour), ok=ok,
                        error_type=error_type, timed_out=timed_out)
-        self._memo[key] = probe
-        return probe
+        return probe, agent.watched_reads
 
     @staticmethod
     def _outcome_label(probe: _Probe) -> str:
@@ -316,6 +442,12 @@ class WiringAuditor:
         if not pairs:
             return WIRED, 0, ("no candidate value pairs to probe with; "
                               "not probeable, conservatively WIRED")
+        # Everything a sweep assignment can inject: the parameter and
+        # the companions its candidate values pin.
+        watched = frozenset([param.name] + [
+            companion for pair in pairs for value in pair
+            for companion, _ in self.generator.pinned_for(param.name,
+                                                          value)])
         probes = 0
         probeable = False
         for profile in readers:
@@ -327,6 +459,9 @@ class WiringAuditor:
                 continue
             probeable = True
             baseline = self._probe(profile, None, ORIGINAL)
+            trie = _ReadTrie(watched,
+                             self._baseline_reads[profile.test.full_name],
+                             baseline)
             for group in groups:
                 strategies = self.generator.strategies_for_group(
                     profile.groups[group])
@@ -351,7 +486,7 @@ class WiringAuditor:
                                 continue
                             probes += 1
                             outcome = self._probe(profile, variant,
-                                                  canonical)
+                                                  canonical, trie)
                             if outcome.fingerprint != baseline.fingerprint:
                                 return WIRED, probes, self._describe(
                                     baseline, outcome, profile, group,
@@ -405,6 +540,8 @@ class WiringAuditor:
             exempt_flagged=sum(1 for f in findings
                                if f.verdict != WIRED and f.exempt),
             probe_executions=self.probe_executions,
+            probe_replays=self.probe_replays,
+            probe_conflicts=self.probe_conflicts,
             probe_cache_hits=self.probe_cache_hits,
             probes_collapsed=self.probes_collapsed,
             machine_time_s=self.probe_executions * self.run_cost_s,

@@ -58,6 +58,23 @@ UNCERTAIN = "__uncertain__"
 #: Sentinel returned by ``intercept_get`` when no value is injected.
 NO_OVERRIDE = object()
 
+
+class _EveryName:
+    def __contains__(self, name: object) -> bool:
+        return True
+
+
+#: ``ConfAgent.watch`` value that watches every name (the wiring audit
+#: records a test's baseline once this way).
+WATCH_ALL = _EveryName()
+
+
+def read_key(value: Any) -> Tuple[type, str]:
+    """Identity of a config value for exact replay: type and ``repr``,
+    not ``==``, so ``1``, ``True`` and ``1.0`` stay distinct."""
+    return (type(value), repr(value))
+
+
 #: Serialises publishing and clearing ``conf._view``, so an agent holds a
 #: registration in ``_views`` exactly while the conf publishes its view,
 #: even when sessions on several threads share a conf object.
@@ -179,6 +196,15 @@ class ConfAgent:
         #: so the execution cache's homogeneous default-value collapse
         #: must exempt these (see repro.core.execcache).
         self.set_params: Set[str] = set()
+        #: names whose full-path reads are logged to ``watched_reads``
+        #: (``None``: none; :data:`WATCH_ALL`: every name).
+        self.watch: Optional[Any] = None
+        #: one ``((node_type, node_index, name, read_key(uninjected)),
+        #: read_key(answer))`` per full-path read of a watched name, in
+        #: order.  Reads through uncertain confs are skipped: injection
+        #: never reaches them.  Repeat reads answered from a read view
+        #: are not logged — they repeat the logged answer.
+        self.watched_reads: List[Tuple[Tuple[str, int, str, Any], Any]] = []
         #: distinct (conf, name) reads answered by injection: a repeat
         #: read answered from the conf's read view is not counted again.
         self.injected_reads = 0
@@ -432,6 +458,12 @@ class ConfAgent:
             if value is not NO_OVERRIDE:
                 self.injected_reads += 1
                 result = value
+        watch = self.watch
+        if watch is not None and node_type != UNCERTAIN and name in watch:
+            uninjected = read_key(conf.uninjected(name))
+            self.watched_reads.append((
+                (node_type, node_index, name, uninjected),
+                uninjected if result is NO_OVERRIDE else read_key(result)))
         return result
 
     def intercept_set(self, conf: Any, name: str, value: Any) -> None:

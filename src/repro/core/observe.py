@@ -178,6 +178,9 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "zc_audit_probe_executions_total": MetricSpec(
         "counter", "Differential probe executions performed by the "
         "wiring audit (accounted separately from campaign executions)."),
+    "zc_audit_probe_replays_total": MetricSpec(
+        "counter", "Audit probes replayed from a read trie: their config "
+        "reads would be answered exactly like a probe already run."),
     "zc_audit_probe_cache_hits_total": MetricSpec(
         "counter", "Audit probes answered from the per-audit memo "
         "instead of executing."),

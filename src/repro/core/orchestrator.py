@@ -603,6 +603,9 @@ class Campaign:
         if stats.probe_executions:
             metrics.counter_inc("zc_audit_probe_executions_total",
                                 stats.probe_executions)
+        if stats.probe_replays:
+            metrics.counter_inc("zc_audit_probe_replays_total",
+                                stats.probe_replays)
         if stats.probe_cache_hits:
             metrics.counter_inc("zc_audit_probe_cache_hits_total",
                                 stats.probe_cache_hits)

@@ -52,6 +52,8 @@ def app_report_markdown(report: AppReport) -> str:
             ["flagged but exempt", audit.exempt_flagged],
             ["differential probe executions",
              format(audit.probe_executions, ",")],
+            ["probes replayed from a read trie",
+             format(audit.probe_replays, ",")],
             ["probe cache hits", format(audit.probe_cache_hits, ",")],
             ["probes collapsed onto baseline",
              format(audit.probes_collapsed, ",")],
