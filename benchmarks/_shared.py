@@ -3,30 +3,50 @@
 The full six-application campaign takes ~20-30s; several benches need its
 results, so it is computed once per process and cached here.
 
-This module also owns the *perf trajectory*: benches that measure a
-speedup call :func:`write_bench_artifact` to persist a ``BENCH_*.json``
-(CI uploads them per commit) and :func:`check_against_baseline` to fail
-on a >10% regression versus the baselines committed under
-``benchmarks/baselines/``.  Baselines store only *ratios* (speedups,
-reduction factors) — absolute wall-clock numbers are host property, but
-the fast-path / legacy-path ratio travels across machines.
+This module also owns the *perf trajectory*: benches call
+:func:`write_bench_artifact` to persist a ``BENCH_*.json`` (CI uploads
+them per commit) and :func:`check_against_baseline` to fail on a >10%
+regression versus the baselines committed under ``benchmarks/baselines/``.
+A baseline holds two kinds of key:
+
+* **floors** — ratios and rates (recall, savings factors) that must not
+  fall more than 10% below the committed value;
+* **ceilings**, keys ending in ``_norm`` — wall clock divided by the
+  host's ``calibration_s`` (:func:`calibration_s`), which must not rise
+  more than 10% above the committed value.  Raw seconds are a host
+  property; dividing by the calibration loop removes most of a host's
+  speed, though not all of it (docs/PERFORMANCE.md §5).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from functools import lru_cache
 
 from repro.apps import catalog
 from repro.core.orchestrator import Campaign, CampaignConfig, run_full_campaign
 
-BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "baselines")
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+BASELINE_DIR = os.path.join(BENCH_DIR, "baselines")
 
-#: A run regresses when a ratio drops more than this fraction below the
-#: committed baseline.
+#: A run regresses when a floor drops, or a ceiling rises, more than this
+#: fraction past the committed baseline.
 REGRESSION_TOLERANCE = 0.10
+
+#: baseline keys with this suffix are ceilings, every other key a floor.
+CEILING_SUFFIX = "_norm"
+
+
+def calibration_s() -> float:
+    """Seconds this host takes for perfbench's fixed pure-Python loop
+    (best of three): the unit of every ``*_norm`` row."""
+    root = os.path.dirname(BENCH_DIR)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.run import host_facts
+    return host_facts()["calibration_s"]
 
 
 def bench_artifact_path(name: str) -> str:
@@ -62,23 +82,30 @@ def load_baseline(name: str) -> dict:
 
 def check_against_baseline(name: str, rows: dict,
                            tolerance: float = REGRESSION_TOLERANCE) -> list:
-    """Compare measured ratios against the committed baseline.
+    """Compare measured rows against the committed baseline.
 
     Every key in the baseline file must exist in ``rows`` (dotted keys
     descend into nested dicts) and stay within ``tolerance`` of the
-    committed ratio.  Returns the list of human-readable regression
-    descriptions; asserting it empty is the caller's job so the bench
-    can print its table first.
+    committed value: at most that fraction above a ``_norm`` ceiling, at
+    most that fraction below any other key's floor.  Returns the list of
+    human-readable regression descriptions; asserting it empty is the
+    caller's job so the bench can print its table first.
     """
     regressions = []
-    for key, floor in load_baseline(name).items():
+    percent = round(tolerance * 100)
+    for key, committed in load_baseline(name).items():
         value = rows
         for part in key.split("."):
             value = value[part]
-        if value < floor * (1.0 - tolerance):
+        if key.endswith(CEILING_SUFFIX):
+            if value > committed * (1.0 + tolerance):
+                regressions.append(
+                    "%s: measured %.4f is more than %d%% above the committed "
+                    "ceiling %.4f" % (key, value, percent, committed))
+        elif value < committed * (1.0 - tolerance):
             regressions.append(
                 "%s: measured %.3f is more than %d%% below the committed "
-                "baseline %.3f" % (key, value, round(tolerance * 100), floor))
+                "baseline %.3f" % (key, value, percent, committed))
     return regressions
 
 

@@ -1,41 +1,47 @@
-"""Simulation-kernel microbenchmarks: the fast path versus the legacy path.
+"""Simulation-kernel microbenchmarks, gated by calibrated ceilings.
 
 Every unit-test execution in the reproduction is pure scheduling work on
 :class:`repro.common.simulation.Simulator`, so kernel overhead multiplies
 through the runner, the pooled tester, and every parallel backend.  This
-bench isolates the three kernel optimisations behind
-``repro.perf.FAST_PATH`` and measures each against the legacy path on
-identical workloads:
+bench isolates the kernel and wire mechanisms on workloads where each
+one is the whole cost:
 
 1. **cancel-heavy** — the heartbeat/timeout-reset pattern (ipc timeouts,
    node heartbeats, bandwidth throttling): a monitor cancels and
-   re-arms a deadline timer on every tick.  Legacy lazily deletes
-   cancelled entries only when popped, so the heap bloats and every
-   push/pop pays ``log`` of the bloated size; the fast path compacts the
-   heap once cancelled entries dominate.
-2. **pending-scan** — ``Simulator.pending_events()``, O(1) live counter
-   versus the legacy O(n) heap scan.
+   re-arms a deadline timer on every tick.  The kernel compacts the heap
+   once cancelled entries dominate, instead of paying ``log`` of a
+   bloated heap on every push/pop until the dead entries are popped.
+2. **pending-scan** — ``Simulator.pending_events()`` reads an O(1) live
+   counter rather than scanning the heap.
 3. **wire-encode** — repeated identical layered frames (codec /
-   encryption / ssl headers) served from the encode memo versus
-   re-encoded from scratch.
+   encryption / ssl headers) are served from the encode memo.
 
-Raw event throughput is also recorded (absolute, host-dependent — a
-trajectory number, not a baselined one).  The measured rows land in
-``BENCH_simkernel.json``; the committed speedup baselines under
-``benchmarks/baselines/`` fail the bench on a >10% regression.
+Each gated row reports its best-of-three wall clock divided by the
+host's ``calibration_s`` (``wall_norm``); the committed ceilings under
+``benchmarks/baselines/`` fail the bench when one rises more than 10%.
+Where a mechanism leaves a deterministic trace it is asserted too: the
+cancel-heavy heap stays bounded, and repeated frames leave one encode
+memo entry.  Raw event throughput and ``Configuration.get`` cost are
+trajectory rows (absolute, host-dependent, not gated).  The measured
+rows land in ``BENCH_simkernel.json``.
 """
 
 from __future__ import annotations
 
 import time
 
-from _shared import check_against_baseline, write_bench_artifact
-from repro import perf
-from repro.common.simulation import PeriodicTask, Simulator
+from _shared import calibration_s, check_against_baseline, write_bench_artifact
+from repro.common import wire
+from repro.common.simulation import (COMPACT_MIN_CANCELLED, PeriodicTask,
+                                     Simulator, kernel_stats_snapshot)
 from repro.common.wire import clear_wire_memo, encode_payload
 from repro.core.report import render_table
 
 ARTIFACT = "BENCH_simkernel.json"
+
+#: timed runs per gated row; the minimum is reported (a background-load
+#: spike can only make a run slower).
+ROUNDS = 3
 
 
 def _timed(fn, *args):
@@ -44,22 +50,22 @@ def _timed(fn, *args):
     return result, time.perf_counter() - started
 
 
-def _ab(fn, *args):
-    """Run ``fn`` with the fast path off then on; return (legacy, fast)."""
-    previous = perf.set_fast_path(False)
-    try:
+def _best(fn, *args):
+    """(result of the last run, best wall) over ROUNDS cold runs."""
+    best = float("inf")
+    for _ in range(ROUNDS):
         clear_wire_memo()
-        _, legacy = _timed(fn, *args)
-        perf.set_fast_path(True)
-        clear_wire_memo()
-        result, fast = _timed(fn, *args)
-    finally:
-        perf.set_fast_path(previous)
-    return result, legacy, fast
+        result, wall = _timed(fn, *args)
+        best = min(best, wall)
+    return result, best
 
 
 def cancel_heavy(resets: int) -> int:
-    """Heartbeat monitor: every tick cancels and re-arms its deadline."""
+    """Heartbeat monitor: every tick cancels and re-arms its deadline.
+
+    Returns the heap's final size.  Lazy deletion alone would still hold
+    ~600 dead deadlines (one per tick of the 600 s timeout).
+    """
     sim = Simulator()
     state = {"deadline": None, "expired": 0}
 
@@ -75,7 +81,7 @@ def cancel_heavy(resets: int) -> int:
     sim.run_until(float(resets))
     task.stop()
     assert state["expired"] == 0  # the monitor always reset in time
-    return sim.pending_events()
+    return len(sim._heap)
 
 
 def pending_scan(live: int, calls: int) -> int:
@@ -117,14 +123,8 @@ def wire_encode_large(frames: int) -> int:
 
 
 def conf_get(lookups: int) -> int:
-    """Registry-backed ``Configuration.get`` outside any agent scope.
-
-    Exercises the ``agent_getter`` fast path (a bound contextvar ``get``
-    versus the ``current_agent()`` wrapper frame) on the hottest call in
-    the harness.  The win is one Python frame per lookup — real but
-    small, so this row is recorded for trajectory without a speedup
-    assertion or committed baseline.
-    """
+    """Registry-backed ``Configuration.get`` outside any agent scope: the
+    hottest call in the harness, recorded for trajectory only."""
     import sys
     sys.path.insert(0, "tests") if "tests" not in sys.path else None
     from synthetic_app import SynthConfiguration
@@ -137,39 +137,6 @@ def conf_get(lookups: int) -> int:
     return total
 
 
-def conf_get_findings_identical() -> bool:
-    """A full campaign must report identically with FAST_PATH off and on.
-
-    The fast path must be a pure mechanism change: same agent, same
-    interception, same findings.  Runs the synthetic corpus twice and
-    compares the findings projection byte-for-byte.
-    """
-    import json
-    import sys
-    sys.path.insert(0, "tests") if "tests" not in sys.path else None
-    from synthetic_app import (SYNTH_REGISTRY, client_vs_service_test,
-                               safe_only_test, two_service_test)
-    from repro.core.orchestrator import Campaign, CampaignConfig
-    from repro.core.report import app_report_to_dict, findings_projection
-
-    def run_once() -> str:
-        tests = [two_service_test(), client_vs_service_test(),
-                 safe_only_test()]
-        report = Campaign("synth", SYNTH_REGISTRY, tests=tests,
-                          config=CampaignConfig()).run()
-        return json.dumps(findings_projection(app_report_to_dict(report)),
-                          sort_keys=True)
-
-    previous = perf.set_fast_path(False)
-    try:
-        legacy_findings = run_once()
-        perf.set_fast_path(True)
-        fast_findings = run_once()
-    finally:
-        perf.set_fast_path(previous)
-    return legacy_findings == fast_findings
-
-
 def event_throughput(events: int) -> float:
     sim = Simulator()
     for i in range(events):
@@ -179,67 +146,57 @@ def event_throughput(events: int) -> float:
 
 
 def measure() -> dict:
-    rows = {}
+    calibration = calibration_s()
+    rows = {"calibration_s": calibration}
 
-    _, legacy, fast = _ab(cancel_heavy, 20000)
-    rows["cancel_heavy"] = {"resets": 20000, "wall_legacy_s": legacy,
-                            "wall_fast_s": fast,
-                            "speedup": legacy / fast}
+    def gated(name, fn, *args, **facts):
+        result, wall = _best(fn, *args)
+        rows[name] = dict(facts, wall_s=wall, wall_norm=wall / calibration)
+        return result
 
-    _, legacy, fast = _ab(pending_scan, 2000, 2000)
-    rows["pending_scan"] = {"live_timers": 2000, "calls": 2000,
-                            "wall_legacy_s": legacy, "wall_fast_s": fast,
-                            "speedup": legacy / fast}
+    _, compactions_before, _ = kernel_stats_snapshot()
+    heap = gated("cancel_heavy", cancel_heavy, 20000, resets=20000)
+    _, compactions_after, _ = kernel_stats_snapshot()
+    rows["cancel_heavy"].update(final_heap=heap,
+                                compactions=compactions_after
+                                - compactions_before)
+    gated("pending_scan", pending_scan, 2000, 2000, live_timers=2000,
+          calls=2000)
+    gated("wire_encode", wire_encode, 20000, frames=20000)
+    rows["wire_encode"]["memo_entries"] = len(wire._ENCODE_MEMO)
+    gated("wire_encode_large", wire_encode_large, 2000, frames=2000)
+    rows["wire_encode_large"]["memo_entries"] = len(wire._ENCODE_MEMO)
 
-    _, legacy, fast = _ab(wire_encode, 20000)
-    rows["wire_encode"] = {"frames": 20000, "wall_legacy_s": legacy,
-                           "wall_fast_s": fast,
-                           "speedup": legacy / fast}
-
-    _, legacy, fast = _ab(wire_encode_large, 2000)
-    rows["wire_encode_large"] = {"frames": 2000, "wall_legacy_s": legacy,
-                                 "wall_fast_s": fast,
-                                 "speedup": legacy / fast}
-
-    # Trajectory row (no >1.0 assertion, no baseline: the win is a single
-    # Python frame per lookup and too small to gate CI on).
-    _, legacy, fast = _ab(conf_get, 200000)
-    rows["conf_get"] = {"lookups": 200000, "wall_legacy_s": legacy,
-                        "wall_fast_s": fast, "speedup": legacy / fast}
-
-    rows["conf_get_findings_identical"] = {
-        "identical": conf_get_findings_identical()}
-
+    _, wall = _timed(conf_get, 200000)
+    rows["conf_get"] = {"lookups": 200000, "wall_s": wall}
     rows["event_throughput"] = {"events": 50000,
                                 "events_per_s": event_throughput(50000)}
     return rows
 
 
-def test_simkernel_fast_path(benchmark):
+def test_simkernel_mechanisms(benchmark):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    print("\nSimulation-kernel fast path (FAST_PATH on vs off):")
+    print("\nSimulation-kernel mechanisms (calibration %.3fs):"
+          % rows["calibration_s"])
     print(render_table(
-        ["microbench", "legacy", "fast", "speedup"],
-        [[name,
-          "%.3fs" % row["wall_legacy_s"], "%.3fs" % row["wall_fast_s"],
-          "%.2fx" % row["speedup"]]
-         for name, row in rows.items() if "speedup" in row]))
-    print("raw event throughput: %.0f events/s"
-          % rows["event_throughput"]["events_per_s"])
+        ["microbench", "wall", "wall / calibration"],
+        [[name, "%.4fs" % row["wall_s"], "%.4f" % row["wall_norm"]]
+         for name, row in rows.items()
+         if isinstance(row, dict) and "wall_norm" in row]))
+    print("Configuration.get: %.3fs per 200k lookups; raw event throughput:"
+          " %.0f events/s" % (rows["conf_get"]["wall_s"],
+                              rows["event_throughput"]["events_per_s"]))
 
     write_bench_artifact(ARTIFACT, rows)
 
-    # The kernel win the tentpole promises: every fast-path mechanism
-    # must beat the legacy path on its own workload.
-    assert rows["cancel_heavy"]["speedup"] > 1.0
-    assert rows["pending_scan"]["speedup"] > 1.0
-    assert rows["wire_encode"]["speedup"] > 1.0
-    assert rows["wire_encode_large"]["speedup"] > 1.0
-
-    # The conf-get fast path must be behaviour-preserving: a campaign run
-    # with FAST_PATH off and on reports byte-identical findings.
-    assert rows["conf_get_findings_identical"]["identical"]
+    # Deterministic witnesses: compaction keeps the heap bounded while
+    # cancels dominate, and a repeated frame occupies one memo entry.
+    cancel = rows["cancel_heavy"]
+    assert cancel["compactions"] > 0
+    assert cancel["final_heap"] <= 2 * COMPACT_MIN_CANCELLED
+    assert rows["wire_encode"]["memo_entries"] == 1
+    assert rows["wire_encode_large"]["memo_entries"] == 1
 
     regressions = check_against_baseline(ARTIFACT, rows)
     assert not regressions, "\n".join(regressions)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-import repro.perf as perf
 from repro.common.errors import ConfigurationError
 from repro.common.params import ParamRegistry
 from repro.core.confagent import NO_OVERRIDE, agent_getter, current_agent
@@ -65,16 +64,13 @@ class Configuration:
         # skips one Python frame per lookup versus ``current_agent()``,
         # and a repeat read through the current agent's read view is one
         # dict hit plus a counted hit.
-        if perf.FAST_PATH:
-            agent = agent_getter()
-            view = self._view
-            if view is not None and view[0] is agent:
-                entry = view[1].get(name)
-                if entry is not None:
-                    entry[1] += 1
-                    return entry[0]
-        else:
-            agent = current_agent()
+        agent = agent_getter()
+        view = self._view
+        if view is not None and view[0] is agent:
+            entry = view[1].get(name)
+            if entry is not None:
+                entry[1] += 1
+                return entry[0]
         value = agent.intercept_get(self, name)
         if value is NO_OVERRIDE:
             if name in self._properties:
@@ -86,7 +82,7 @@ class Configuration:
             else:
                 raise ConfigurationError(
                     "unknown parameter %r and no default given" % name)
-        if agent.opens_views and perf.FAST_PATH:
+        if agent.opens_views:
             agent.open_read(self, name, value)
         return value
 

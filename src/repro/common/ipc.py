@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-import repro.perf as perf
 from repro.common.configuration import Configuration
 from repro.common.errors import RpcError, SocketTimeout
 from repro.common.faults import current_injector
@@ -228,14 +227,14 @@ class IpcComponent:
         # check with unchanged mutation counters and ownership epoch must
         # pass again.  Under a recording agent a hit counts the 8 reads it
         # skips, so the pre-run and the audit see exactly the read-site
-        # counts of the unmemoised loop.  Skipped with the fast path off
-        # and for a recording agent whose resolution is per call (the
+        # counts of the unmemoised loop.  Skipped for a recording agent
+        # that opens no read views: its resolution is per call (the
         # thread-ownership ablation counts every resolution).  Failures
         # are never memoised — each failing call must raise and count,
         # exactly like the unmemoised loop.
         agent = current_agent()
         record = agent.record_usage
-        memoize = perf.FAST_PATH and (agent.opens_views or not record)
+        memoize = agent.opens_views or not record
         if memoize:
             key = (caller_conf, caller_conf._mutations, own_conf,
                    own_conf._mutations, agent, agent.ownership_epoch)

@@ -26,7 +26,6 @@ import json
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import repro.perf as perf
 from repro.common.errors import ChecksumError, DecodeError, SaslError, SslError
 
 _PLAIN_MAGIC = b"ZCP1"
@@ -46,15 +45,13 @@ SUPPORTED_CODECS = tuple(sorted(_CODECS))
 def _xor_stream(data: bytes, key: bytes) -> bytes:
     if not key:
         raise ValueError("empty encryption key")
-    key_len = len(key)
-    if perf.FAST_PATH:
-        # Bulk XOR via big-int arithmetic: ~50x faster than the per-byte
-        # Python loop below and bit-for-bit identical.
-        size = len(data)
-        stream = (key * (size // key_len + 1))[:size]
-        return (int.from_bytes(data, "little")
-                ^ int.from_bytes(stream, "little")).to_bytes(size, "little")
-    return bytes(b ^ key[i % key_len] for i, b in enumerate(data))
+    # Bulk XOR via big-int arithmetic: bit-for-bit the per-byte
+    # ``data[i] ^ key[i % len(key)]`` stream, ~50x faster than a Python
+    # loop over the bytes.
+    size = len(data)
+    stream = (key * (size // len(key) + 1))[:size]
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(size, "little")
 
 
 # Memoisation of the *byte-transform* layers (compress / xor / ssl) for
@@ -91,7 +88,9 @@ def _evict_half(memo: Dict[Any, bytes]) -> None:
 
 
 def clear_wire_memo() -> None:
-    """Drop both frame caches (benches/tests use this between modes)."""
+    """Drop both frame caches, so the next encode or decode of any frame
+    runs its byte transforms from scratch (benches and tests use this to
+    start cold)."""
     _ENCODE_MEMO.clear()
     _DECODE_MEMO.clear()
 
@@ -102,8 +101,7 @@ def encode_payload(payload: Any, *, codec: Optional[str] = None,
     """Serialize ``payload`` with the sender's format settings."""
     raw = json.dumps(payload, sort_keys=True).encode("utf-8")
     layered = codec is not None or encryption_key is not None or ssl
-    key = None
-    if layered and perf.FAST_PATH:
+    if layered:
         key = (_payload_digest(raw), codec, encryption_key, ssl)
         cached = _ENCODE_MEMO.get(key)
         if cached is not None:
@@ -116,7 +114,7 @@ def encode_payload(payload: Any, *, codec: Optional[str] = None,
         data = _xor_stream(data, encryption_key)
     if ssl:
         data = _SSL_MAGIC + _xor_stream(data, b"\x5c")
-    if key is not None:
+    if layered:
         if len(_ENCODE_MEMO) >= _WIRE_MEMO_MAX:
             _evict_half(_ENCODE_MEMO)
         _ENCODE_MEMO[key] = data
@@ -132,17 +130,16 @@ def decode_payload(data: bytes, *, codec: Optional[str] = None,
     expectations do not match what is actually on the wire.
     """
     layered = codec is not None or encryption_key is not None or ssl
-    if layered and perf.FAST_PATH:
-        key = (data, codec, encryption_key, ssl)
-        plain = _DECODE_MEMO.get(key)
-        if plain is not None:
-            return _parse_plain(plain)
+    if not layered:
+        return _parse_plain(_unwrap_layers(data, codec, encryption_key, ssl))
+    key = (data, codec, encryption_key, ssl)
+    plain = _DECODE_MEMO.get(key)
+    if plain is None:
         plain = _unwrap_layers(data, codec, encryption_key, ssl)
         if len(_DECODE_MEMO) >= _WIRE_MEMO_MAX:
             _evict_half(_DECODE_MEMO)
         _DECODE_MEMO[key] = plain
-        return _parse_plain(plain)
-    return _parse_plain(_unwrap_layers(data, codec, encryption_key, ssl))
+    return _parse_plain(plain)
 
 
 def _unwrap_layers(data: bytes, codec: Optional[str],
@@ -231,12 +228,12 @@ def roundtrip_payload(payload: Any, *, codec: Optional[str] = None,
     immediately parses it back, purely so the receiver gets a *fresh*
     object with JSON semantics (tuples become lists, dicts re-keyed in
     sorted order) and unserialisable payloads still fail.  For plain
-    frames the fast path produces that result structurally, skipping the
-    dumps/loads pair; layered frames keep the real byte transforms (and
+    frames :func:`_json_copy` produces that result structurally, skipping
+    the dumps/loads pair; layered frames keep the real byte transforms (and
     their memo) since format errors are the point of those layers.
     """
     layered = codec is not None or encryption_key is not None or ssl
-    if not layered and perf.FAST_PATH:
+    if not layered:
         try:
             return _json_copy(payload)
         except _JsonFallback:

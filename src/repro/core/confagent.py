@@ -46,8 +46,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import repro.perf as perf
-
 #: Pseudo node type representing the unit test itself (§6.1: "the unit
 #: test itself is treated as a 'client' node in ZebraConf").
 UNIT_TEST = "__unit_test__"
@@ -143,8 +141,7 @@ def current_agent() -> Any:
 #: Bound method for hot paths (``Configuration.get`` reads the agent on
 #: every configuration lookup): calling the contextvar's ``get`` directly
 #: skips one Python frame per call.  Semantically identical to
-#: :func:`current_agent`; gated behind ``perf.FAST_PATH`` at call sites
-#: so the A/B benches can measure and verify the equivalence.
+#: :func:`current_agent`, which colder call sites keep using.
 agent_getter = _current_agent.get
 
 
@@ -365,10 +362,9 @@ class ConfAgent:
         """(node_type, node_index) owning ``conf``; UNIT_TEST/UNCERTAIN
         pseudo-entities use index 0."""
         conf_id = id(conf)
-        if perf.FAST_PATH:
-            cached = self._resolve_cache.get(conf_id)
-            if cached is not None:
-                return cached
+        cached = self._resolve_cache.get(conf_id)
+        if cached is not None:
+            return cached
         for rec in self.node_table.values():
             if conf_id in rec.conf_ids:
                 result = (rec.node_type, rec.node_index)
@@ -378,8 +374,7 @@ class ConfAgent:
                 result = (UNIT_TEST, 0)
             else:
                 result = (UNCERTAIN, 0)
-        if perf.FAST_PATH:
-            self._resolve_cache[conf_id] = result
+        self._resolve_cache[conf_id] = result
         return result
 
     def _forget_conf(self, conf_id: int) -> None:

@@ -34,8 +34,7 @@ The dispatch order is consumed by ``core.supervise.run_profiles`` (the
 supervised pool's queue) and ``core.distrib`` (the coordinator's lease
 queue); the serial loop always runs in catalog order.
 ``CampaignConfig.schedule`` selects ``"lpt"`` (default) or
-``"catalog"`` (legacy order, also the perf-baseline mode of
-``benchmarks/bench_campaign_wallclock.py``).
+``"catalog"`` (corpus order).
 """
 
 from __future__ import annotations

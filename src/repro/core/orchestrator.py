@@ -135,8 +135,8 @@ class CampaignConfig:
     watchdog_sim_s: float = DEFAULT_WATCHDOG_SIM_S
     #: the execution cache (repro.core.execcache) is always on; False
     #: survives only as the uncached reference that equivalence tests and
-    #: benchmarks/bench_execcache.py compare against, like perf.FAST_PATH
-    #: — not a tuning knob.  Verdicts are byte-identical either way.
+    #: benchmarks/bench_execcache.py compare against — not a tuning knob.
+    #: Verdicts are byte-identical either way.
     exec_cache: bool = True
     #: directory of the durable cross-campaign result store (see
     #: repro.core.store).  Implies the execution cache: lookups fall

@@ -1,5 +1,5 @@
 """Cost model + LPT scheduling: predictions, ordering, and the invariant
-that scheduling (and the kernel fast path) never changes findings.
+that scheduling never changes findings.
 
 Dispatch order is a pure makespan concern: profiles are handed to the
 worker pool longest-predicted-first, but outcomes are folded back in
@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-import repro.perf as perf
 from repro.common.faults import FaultPlan
 from repro.core.costmodel import (CACHE_HIT_PCT, EWMA_ALPHA, SINGLETON_COST,
                                   UNSAFE_PRIOR_PCT, CostBook, CostModel)
@@ -150,16 +149,6 @@ class TestSchedulingNeverChangesFindings:
         assert fanned.pop("supervision")["enabled"]
         serial.pop("supervision")
         assert serial == fanned
-
-    def test_fast_path_off_report_identical(self):
-        previous = perf.set_fast_path(True)
-        try:
-            fast = campaign().run()
-            perf.set_fast_path(False)
-            legacy = campaign().run()
-        finally:
-            perf.set_fast_path(previous)
-        assert app_report_to_dict(fast) == app_report_to_dict(legacy)
 
     def test_checkpoint_resume_with_lpt(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")

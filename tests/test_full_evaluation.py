@@ -6,13 +6,59 @@ fixture, ~20s) and assert the evaluation's headline numbers and shapes.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from repro.apps import catalog
-from repro.core.report import (render_stage_counts, render_summary,
+from repro.core.orchestrator import CampaignConfig, run_full_campaign
+from repro.core.report import (app_report_to_dict, findings_projection,
+                               render_stage_counts, render_summary,
                                render_unsafe_params)
 from repro.core.triage import (FP_PRIVATE_ONLY, FP_SHARED_IPC,
                                FP_STRICT_ASSERTION, FP_UNREALISTIC)
+
+
+GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden",
+                              "campaign_findings_digests.json")
+
+
+def campaign_findings_digest(app_report):
+    """sha256 over one app's findings projection plus its execution
+    count: every verdict, stage count and statistic the campaign found,
+    and the work it took to find them."""
+    record = app_report_to_dict(app_report)
+    payload = [findings_projection(record), record["executions"]]
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def regenerate_golden_files():
+    """import test_full_evaluation; test_full_evaluation.regenerate_golden_files()
+
+    Regenerate only in a change that means to alter findings or
+    execution counts."""
+    report = run_full_campaign(CampaignConfig())
+    digests = {app.app: campaign_findings_digest(app) for app in report.apps}
+    with open(GOLDEN_DIGESTS, "w") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+class TestGolden:
+    def test_campaign_findings_match_golden_digest(self, full_report):
+        """The default campaign's findings and executions per app are
+        pinned: a mechanism change (read views, memos, kernel
+        compaction, batched RNG draws) may not move a single one."""
+        with open(GOLDEN_DIGESTS) as handle:
+            expected = json.load(handle)
+        found = {app.app: campaign_findings_digest(app)
+                 for app in full_report.apps}
+        assert found == expected, (
+            "regenerate with 'import test_full_evaluation; "
+            "test_full_evaluation.regenerate_golden_files()'")
 
 
 class TestHeadlineNumbers:

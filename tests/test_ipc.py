@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.perf as perf
 from repro.common.configuration import Configuration
 from repro.common.errors import RpcError, SaslError, SocketTimeout
 from repro.common.ipc import (IPC_SHARED_PARAMS, IpcComponent, RpcClient,
@@ -152,16 +151,12 @@ class TestSharedIpcComponent:
 
 
 class TestCrossCheckMemo:
-    """The fast-path memo on IpcComponent.check_connection_params must be
+    """The passed-check memo on IpcComponent.check_connection_params must be
     an invisible optimisation: passed checks are skipped on repeat, but
     any write to either conf (or any agent ownership change) re-runs the
-    full cross-check, and failures always raise and count."""
-
-    @pytest.fixture(autouse=True)
-    def fast_path_on(self):
-        previous = perf.set_fast_path(True)
-        yield
-        perf.set_fast_path(previous)
+    full cross-check, and failures always raise and count.  The
+    unmemoised reference is a recording agent that opens no read views
+    (``opens_views = False``): it re-runs every cross-check."""
 
     def test_repeat_check_skips_the_gets(self, conf_class):
         ipc = IpcComponent(conf_class, shared=True)
@@ -174,13 +169,19 @@ class TestCrossCheckMemo:
         caller.get = boom  # instance shadow: any get would blow up
         ipc.check_connection_params(caller)
 
-    def test_fast_path_off_rechecks_every_call(self, conf_class):
-        perf.set_fast_path(False)
+    def test_viewless_recording_agent_rechecks_every_call(self, conf_class,
+                                                          monkeypatch):
+        monkeypatch.setattr(ConfAgent, "opens_views", False)
         ipc = IpcComponent(conf_class, shared=True)
         caller = conf_class()
-        ipc.check_connection_params(caller)
-        assert not ipc._check_memo
-        ipc.check_connection_params(caller)
+        with ConfAgent(record_usage=True):
+            ipc.check_connection_params(caller)
+            assert not ipc._check_memo
+            reads = []
+            real_get = caller.get
+            caller.get = lambda name: (reads.append(name), real_get(name))[1]
+            ipc.check_connection_params(caller)
+        assert reads == list(IPC_SHARED_PARAMS)
         assert ipc.cross_check_failures == 0
 
     def test_caller_write_invalidates_memo(self, conf_class):
@@ -211,12 +212,12 @@ class TestCrossCheckMemo:
             assert ipc.cross_check_failures == expected
         assert not ipc._check_memo
 
-    def test_record_usage_memo_replays_exact_read_counts(self, conf_class):
+    def test_record_usage_memo_replays_exact_read_counts(self, conf_class,
+                                                         monkeypatch):
         """Under a recording agent the memo stays on, and every hit counts
         the 8 reads it skipped: read sites (key order included) and usage
         equal the unmemoised run's."""
-        def run(fast):
-            perf.set_fast_path(fast)
+        def run():
             with ConfAgent(record_usage=True) as agent:
                 caller = conf_class()  # Rule 1.2: the unit test's conf
                 node = object()
@@ -232,8 +233,9 @@ class TestCrossCheckMemo:
                      for site, counts in agent.read_sites.items()]
             return sites, agent.usage, ipc._check_memo
 
-        slow_sites, slow_usage, slow_memo = run(False)
-        fast_sites, fast_usage, fast_memo = run(True)
+        fast_sites, fast_usage, fast_memo = run()
+        monkeypatch.setattr(ConfAgent, "opens_views", False)
+        slow_sites, slow_usage, slow_memo = run()
         assert not slow_memo and fast_memo
         assert fast_sites == slow_sites
         assert fast_usage == slow_usage

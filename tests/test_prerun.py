@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-import repro.perf as perf
 from repro.apps import catalog
-from repro.core.confagent import UNIT_TEST
+from repro.core.confagent import UNIT_TEST, ConfAgent
 from repro.core.prerun import PreRunSummary, prerun_corpus, prerun_test
 from synthetic_app import (broken_baseline_test, client_vs_service_test,
                            no_node_test, safe_only_test, two_service_test,
@@ -84,15 +83,15 @@ class TestFastPathEquivalence:
                 for p in profiles]
 
     @pytest.mark.parametrize("app", catalog.APP_NAMES)
-    def test_profiles_identical_with_fast_path_off(self, corpus, app):
+    def test_profiles_identical_with_fast_path_off(self, corpus, app,
+                                                   monkeypatch):
         """The read views and the IPC cross-check memo stay on while the
-        pre-run records; every count must equal the unmemoised path's."""
+        pre-run records; every count must equal the unmemoised path's.
+        An agent that opens no views (``opens_views = False``, as the
+        thread-ownership ablation does) takes the full path on every
+        read and re-runs every cross-check: that is the reference."""
         tests = corpus.for_app(app)
-        previous = perf.set_fast_path(False)
-        try:
-            reference = self.snapshot(prerun_corpus(tests))
-            perf.set_fast_path(True)
-            fast = self.snapshot(prerun_corpus(tests))
-        finally:
-            perf.set_fast_path(previous)
-        assert fast == reference
+        memoised = self.snapshot(prerun_corpus(tests))
+        monkeypatch.setattr(ConfAgent, "opens_views", False)
+        reference = self.snapshot(prerun_corpus(tests))
+        assert memoised == reference

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf as perf
 from repro.common.simulation import (COMPACT_MIN_CANCELLED, Event,
                                      PeriodicTask, Process, SimulationError,
                                      Simulator, kernel_stats_snapshot)
@@ -358,30 +357,31 @@ class TestHeapCompaction:
         assert order == [0, 1, 2, 3, 4]
         assert sim.pending_events() == 0
 
-    def test_event_order_identical_fast_and_legacy(self):
-        def workload():
-            sim = Simulator()
-            log = []
-            timers = {}
-            for i in range(300):
-                timers[i] = sim.schedule(float(i % 11), log.append, i)
+    def test_compaction_event_order_matches_when_seq_order(self):
+        """Survivors of a compacting cancel storm fire in the ``(when,
+        seq)`` order the heap keys them by, as lazy deletion alone would
+        have fired them."""
+        sim = Simulator()
+        log = []
+        timers = {}
+        for i in range(201):
+            timers[i] = sim.schedule(1.0 + i % 11, log.append, i)
+        # 101 victims against 100 survivors: the sweep runs on the last
+        # cancel, so every entry it keeps is a timer that must fire.
+        victims = range(0, 201, 2)
 
-            def kill():
-                for i in range(0, 300, 2):
-                    timers[i].cancel()
+        def kill():
+            for i in victims:
+                timers[i].cancel()
 
-            sim.schedule(0.5, kill)
-            sim.run()
-            return log
-
-        previous = perf.set_fast_path(True)
-        try:
-            fast = workload()
-            perf.set_fast_path(False)
-            legacy = workload()
-        finally:
-            perf.set_fast_path(previous)
-        assert fast == legacy
+        sim.schedule(0.5, kill)
+        _, compactions_before, _ = kernel_stats_snapshot()
+        sim.run()
+        _, compactions_after, _ = kernel_stats_snapshot()
+        assert compactions_after > compactions_before
+        survivors = range(1, 201, 2)
+        # seq is scheduling order, i.e. i itself
+        assert log == sorted(survivors, key=lambda i: (1.0 + i % 11, i))
 
 
 class TestCancelAccounting:
@@ -428,11 +428,6 @@ class TestCancelAccounting:
             timer.cancel()
         scan = sum(1 for _, _, t in sim._heap if not t.cancelled)
         assert sim.pending_events() == scan
-        previous = perf.set_fast_path(False)
-        try:
-            assert sim.pending_events() == scan
-        finally:
-            perf.set_fast_path(previous)
         sim.run_until(10.5)
         scan = sum(1 for _, _, t in sim._heap if not t.cancelled)
         assert sim.pending_events() == scan

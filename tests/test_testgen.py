@@ -10,7 +10,7 @@ from repro.core.confagent import NO_OVERRIDE, UNIT_TEST
 from repro.core.registry import UnitTest
 from repro.core.testgen import (ALL_STRATEGIES, CROSS, CROSS_SWAPPED,
                                 DependencyRule, HeteroAssignment,
-                                ParamAssignment, ROUND_ROBIN,
+                                HomoAssignment, ParamAssignment, ROUND_ROBIN,
                                 ROUND_ROBIN_SWAPPED, TestGenerator,
                                 TestInstance)
 from synthetic_app import SYNTH_REGISTRY, no_node_test
@@ -147,6 +147,98 @@ class TestHeteroAssignment:
         values = {assignment.value_for(entity, index, "synth.level")
                   for entity in ("Service", UNIT_TEST) for index in range(2)}
         assert values == {10, 1000}
+
+
+# ---------------------------------------------------------------------------
+# value_for against linear first-wins scans
+# ---------------------------------------------------------------------------
+NAMES = ("p.a", "p.b", "p.c", "p.d")
+ENTITIES = ("G", "H", UNIT_TEST)
+
+
+def param_scan(assignment, node_type, node_index, name):
+    """``ParamAssignment.value_for`` as a linear scan: the first pinned
+    value of ``name`` wins, then the tested parameter's strategy."""
+    for pinned_name, pinned_value in assignment.pinned:
+        if name == pinned_name:
+            return pinned_value
+    if name != assignment.param:
+        return NO_OVERRIDE
+    if node_type == assignment.group:
+        values = assignment.group_values
+        return values[node_index % len(values)]
+    return assignment.other_value
+
+
+def hetero_scan(hetero, node_type, node_index, name):
+    """The first pooled member that answers wins."""
+    for assignment in hetero.assignments:
+        value = param_scan(assignment, node_type, node_index, name)
+        if value is not NO_OVERRIDE:
+            return value
+    return NO_OVERRIDE
+
+
+def homo_scan(homo, name):
+    """Pinned companions first, then the uniform values."""
+    for param, value in homo.pinned + homo.values:
+        if name == param:
+            return value
+    return NO_OVERRIDE
+
+
+pairs = st.lists(st.tuples(st.sampled_from(NAMES), st.integers(0, 9)),
+                 max_size=5).map(tuple)
+
+
+@st.composite
+def param_assignments(draw, param):
+    return ParamAssignment(
+        param=param, group=draw(st.sampled_from(("G", "H"))),
+        group_values=tuple(draw(st.lists(st.integers(0, 9), min_size=1,
+                                         max_size=2))),
+        other_value=draw(st.integers(0, 9)), pinned=draw(pairs))
+
+
+@st.composite
+def hetero_assignments(draw):
+    params = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                           unique=True))
+    return HeteroAssignment(tuple(draw(param_assignments(p))
+                                  for p in params))
+
+
+class TestValueForMatchesLinearScan:
+    """The indexed ``value_for`` lookups answer exactly like the
+    first-wins scans over the assignment tuples, duplicates included."""
+
+    @given(hetero_assignments())
+    @settings(max_examples=150, deadline=None)
+    def test_param_and_hetero_lookups(self, hetero):
+        for node_type in ENTITIES:
+            for node_index in range(3):
+                for name in NAMES + ("p.unknown",):
+                    for member in hetero.assignments:
+                        assert member.value_for(
+                            node_type, node_index, name) == param_scan(
+                            member, node_type, node_index, name)
+                    assert hetero.value_for(
+                        node_type, node_index, name) == hetero_scan(
+                        hetero, node_type, node_index, name)
+
+    @given(pairs, pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_homo_lookup(self, values, pinned):
+        homo = HomoAssignment(values=values, pinned=pinned)
+        for name in NAMES + ("p.unknown",):
+            assert homo.value_for("G", 0, name) == homo_scan(homo, name)
+
+    @given(hetero_assignments(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_homo_variants(self, hetero, side):
+        homo = hetero.homo_variant(side)
+        for name in NAMES:
+            assert homo.value_for(UNIT_TEST, 0, name) == homo_scan(homo, name)
 
 
 class TestDependencyRules:

@@ -3,11 +3,12 @@ checksums, SASL negotiation."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf as perf
 from repro.common import wire
 from repro.common.errors import ChecksumError, DecodeError, SaslError, SslError
 from repro.common.wire import (CHECKSUM_TYPES, SASL_LEVELS, SUPPORTED_CODECS,
@@ -149,18 +150,48 @@ class TestChecksums:
             verify_checksums(corrupted, sums, chunk, "CRC32")
 
 
+def xor_reference(data, key):
+    """The per-byte XOR stream ``wire._xor_stream`` computes in bulk."""
+    return bytes(b ^ key[i % len(key)] for i, b in enumerate(data))
+
+
+def encode_reference(payload, codec=None, encryption_key=None, ssl=False):
+    """An unmemoised encoder built on the per-byte XOR: the byte
+    layout every ``encode_payload`` frame must have."""
+    data = wire._PLAIN_MAGIC + json.dumps(payload, sort_keys=True).encode()
+    if codec is not None:
+        magic, compress = wire._CODECS[codec]
+        data = magic + compress(data)
+    if encryption_key is not None:
+        data = xor_reference(data, encryption_key)
+    if ssl:
+        data = wire._SSL_MAGIC + xor_reference(data, b"\x5c")
+    return data
+
+
+class TestXorStream:
+    @given(st.binary(max_size=300), st.binary(min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_xor_matches_per_byte_oracle(self, data, key):
+        assert wire._xor_stream(data, key) == xor_reference(data, key)
+
+    def test_empty_key_rejected(self):
+        with pytest.raises(ValueError):
+            wire._xor_stream(b"abc", b"")
+
+
 class TestWireMemo:
     """The frame memo: digest keys, bounded size, partial eviction."""
 
     def setup_method(self):
-        self._prev = perf.set_fast_path(True)
         clear_wire_memo()
 
     def teardown_method(self):
-        perf.set_fast_path(self._prev)
         clear_wire_memo()
 
     def test_fast_path_bytes_identical_to_legacy(self):
+        """A fresh encode (memo just cleared) and a memoised one both
+        equal the unmemoised per-byte reference, byte for byte."""
         payloads = [
             PAYLOAD,
             {"method": "sendHeartbeat", "node": "dn-0", "blocks": 128},
@@ -175,13 +206,15 @@ class TestWireMemo:
         ]
         for payload in payloads:
             for opts in options:
-                perf.set_fast_path(False)
-                legacy = encode_payload(payload, **opts)
-                perf.set_fast_path(True)
+                expected = encode_reference(payload, **opts)
                 clear_wire_memo()
-                assert encode_payload(payload, **opts) == legacy
-                # and the memoised second encode too
-                assert encode_payload(payload, **opts) == legacy
+                fresh = encode_payload(payload, **opts)
+                assert fresh == expected
+                assert len(wire._ENCODE_MEMO) == 1
+                memoised = encode_payload(payload, **opts)
+                assert memoised is fresh  # served from the memo
+                assert decode_payload(memoised, **opts) == json.loads(
+                    json.dumps(payload, sort_keys=True))
 
     def test_hot_key_survives_overflow(self):
         hot = {"method": "sendHeartbeat", "node": "dn-0", "blocks": 128}
